@@ -14,9 +14,8 @@ import sys
 from pathlib import Path
 
 from . import io as gio
-from .coloring import EdgeColoring
-from .errors import NotAStarError, ParseError, ToolkitError
-from .graph import Graph, PairSet, is_bipartite, make_pairs, new_graph
+from .errors import NotAStarError, ToolkitError
+from .graph import Graph, PairSet, all_pairs, is_bipartite, make_pairs, new_graph
 from .reductions import (
     StarInstance,
     SubsetInstance,
@@ -24,7 +23,6 @@ from .reductions import (
     gadget_layers,
     rc_reduction,
     src_extension,
-    src_witness_coloring,
     star_reduction,
     witness_coloring,
 )
@@ -68,9 +66,14 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_instance(args: argparse.Namespace) -> tuple[Graph, PairSet | None, int | None]:
-    graph, pairs, k = gio.parse_instance(_read_input(args), args.format)
+def _load_instance(
+    args: argparse.Namespace, text: str | None = None
+) -> tuple[Graph, PairSet | None, int | None]:
+    """Parse the instance (text, else the input file or stdin); --k overrides its k."""
+    graph, pairs, k = gio.parse_instance(_read_input(args) if text is None else text, args.format)
     if args.k is not None:
+        if args.k < 1:
+            raise ToolkitError("--k must be a positive integer")
         k = args.k
     return graph, pairs, k
 
@@ -89,52 +92,29 @@ def _star_from_graph(graph: Graph, pairs: PairSet | None, k: int) -> StarInstanc
 
 def cmd_solve(args: argparse.Namespace) -> int:
     graph, pairs, k = _load_instance(args)
-    if args.problem in ("subset-rc", "subset-src", "chromatic") and k is None:
-        raise ToolkitError(f"--k is required for problem {args.problem!r}")
-    out: list[str] = []
-    exit_code = 0
-    witness: EdgeColoring | None = None
-    if args.problem == "chromatic":
+    problem = args.problem
+    if k is None:
+        if problem not in ("rc", "src"):
+            raise ToolkitError(f"--k is required for problem {problem!r}")
+        if graph.vertex_count < 2:
+            raise ToolkitError(f"{problem} needs at least two vertices")
+        opt = (rc_exact if problem == "rc" else src_exact)(graph, budget=args.budget)
+        _write_output(args, f"{problem} = {opt.value}\n" + gio.dump_coloring(opt.witness))
+        return 0
+    if problem == "chromatic":
         result = vertex_coloring_leq(graph, k)
-        if result.feasible:
-            out.append(f"chromatic <= {k}: feasible")
-            out.append("colors: " + " ".join(map(str, result.witness)))
-        else:
-            out.append(f"chromatic <= {k}: infeasible")
-            exit_code = 1
-    elif args.problem in ("subset-rc", "subset-src"):
-        if pairs is None:
-            raise ToolkitError("subset problems need a 'pairs' list in the instance JSON")
-        solver = subset_rc_leq if args.problem == "subset-rc" else subset_src_leq
-        result = solver(graph, pairs, k, budget=args.budget)
-        if result.feasible:
-            out.append(f"{args.problem} <= {k}: feasible")
-            witness = result.witness
-        else:
-            out.append(f"{args.problem} <= {k}: infeasible")
-            exit_code = 1
+        witness = "colors: " + " ".join(map(str, result.witness)) + "\n" if result.feasible else ""
     else:
-        exact = rc_exact if args.problem == "rc" else src_exact
-        if k is not None:
-            from .graph import all_pairs
-
-            solver = subset_rc_leq if args.problem == "rc" else subset_src_leq
-            result = solver(graph, all_pairs(graph.vertex_count), k, budget=args.budget)
-            if result.feasible:
-                out.append(f"{args.problem} <= {k}: feasible")
-                witness = result.witness
-            else:
-                out.append(f"{args.problem} <= {k}: infeasible")
-                exit_code = 1
-        else:
-            opt = exact(graph, budget=args.budget)
-            out.append(f"{args.problem} = {opt.value}")
-            witness = opt.witness
-    text = "\n".join(out) + "\n"
-    if witness is not None:
-        text += gio.dump_coloring(witness)
-    _write_output(args, text)
-    return exit_code
+        if problem in ("rc", "src"):
+            pairs = all_pairs(graph.vertex_count)
+        elif pairs is None:
+            raise ToolkitError("subset problems need a 'pairs' list in the instance JSON")
+        solver = subset_rc_leq if problem in ("rc", "subset-rc") else subset_src_leq
+        result = solver(graph, pairs, k, budget=args.budget)
+        witness = gio.dump_coloring(result.witness) if result.feasible else ""
+    verdict = "feasible" if result.feasible else "infeasible"
+    _write_output(args, f"{problem} <= {k}: {verdict}\n" + witness)
+    return 0 if result.feasible else 1
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
@@ -206,9 +186,7 @@ def _gadget_for_check(args: argparse.Namespace):
     stripped = text.lstrip()
     if stripped.startswith("{") and '"order"' in stripped:
         return gio.load_gadget(text)
-    graph, pairs, k = gio.parse_instance(text, args.format)
-    if args.k is not None:
-        k = args.k
+    graph, pairs, k = _load_instance(args, text)
     if k is None:
         raise ToolkitError("--k (or a 'k' field) is required to build the gadget")
     if pairs is None:

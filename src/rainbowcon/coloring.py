@@ -9,17 +9,17 @@ instances cheap. Vertex sets are carried as integer bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .errors import DisconnectedError, IndexOutOfRangeError
-from .graph import UNREACHABLE, Graph, PairSet, Path, canonical_pair, check_path, distances_from
+from .errors import DisconnectedError, IndexOutOfRangeError, ParseError
+from .graph import UNREACHABLE, Graph, PairSet, Path, canonical_pair, check_path, distances_from, is_connected
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
     """Total assignment of color indices 0..color_count-1 to the host's edges.
 
-    colors[i] is the color of host.edge_list()[i]; not every index needs to
+    colors[i] is the color of host.edge_order[i]; not every index needs to
     be used.
     """
 
@@ -29,10 +29,10 @@ class EdgeColoring:
 
     @property
     def assignment(self) -> dict[tuple[int, int], int]:
-        return dict(zip(self.host.edge_list(), self.colors))
+        return dict(zip(self.host.edge_order, self.colors))
 
     def color_of(self, u: int, v: int) -> int:
-        return self.assignment[canonical_pair(u, v)]
+        return self.colors[self.host.edge_index[canonical_pair(u, v)]]
 
 
 def edge_coloring(
@@ -43,13 +43,13 @@ def edge_coloring(
     """Build a validated coloring from an edge->color map or an aligned sequence."""
     if color_count < 1:
         raise ValueError("color_count must be positive")
-    order = host.edge_list()
+    order = host.edge_order
     if isinstance(assignment, Mapping):
         canon = {canonical_pair(u, v): c for (u, v), c in assignment.items()}
         missing = [e for e in order if e not in canon]
         if missing:
             raise ValueError(f"no color for edge {missing[0]}")
-        extra = set(canon) - set(order)
+        extra = canon.keys() - host.edge_index.keys()
         if extra:
             raise ValueError(f"color given for non-edge {sorted(extra)[0]}")
         colors = tuple(canon[e] for e in order)
@@ -66,16 +66,15 @@ def edge_coloring(
 def is_rainbow_path(c: EdgeColoring, p: Path) -> bool:
     """True iff the edge colors along p are pairwise distinct."""
     check_path(c.host, p)
-    seen = c.assignment
-    used = [seen[e] for e in p.edges()]
+    index = c.host.edge_index
+    used = [c.colors[index[e]] for e in p.edges()]
     return len(set(used)) == len(used)
 
 
-def _color_neighbor_masks(c: EdgeColoring) -> list[list[int]]:
+def _color_neighbor_masks(g: Graph, colors: tuple[int, ...], color_count: int) -> list[list[int]]:
     # masks[color][v] = bitmask of the neighbors v reaches via edges of that color
-    n = c.host.vertex_count
-    masks = [[0] * n for _ in range(c.color_count)]
-    for (u, v), col in zip(c.host.edge_list(), c.colors):
+    masks = [[0] * g.vertex_count for _ in range(color_count)]
+    for (u, v), col in zip(g.edge_order, colors):
         masks[col][u] |= 1 << v
         masks[col][v] |= 1 << u
     return masks
@@ -126,8 +125,7 @@ def exists_rainbow_path(c: EdgeColoring, u: int, v: int) -> bool:
             raise IndexOutOfRangeError(f"vertex {x} not in range 0..{n - 1}")
     if u == v:
         raise ValueError("endpoints must differ")
-    masks = _color_neighbor_masks(c)
-    return bool(_rainbow_reach(masks, c.color_count, u, 1 << v) >> v & 1)
+    return bool(_rainbow_reacher(c.host, c.colors, c.color_count)(u, 1 << v) >> v & 1)
 
 
 def _require_pair_connected(g: Graph, u: int, v: int) -> None:
@@ -135,34 +133,37 @@ def _require_pair_connected(g: Graph, u: int, v: int) -> None:
         raise DisconnectedError(f"no path between {u} and {v}")
 
 
-def _geodesic_color_sets(c: EdgeColoring, source: int) -> list[set[int]]:
-    """Per vertex, the color sets realizable along shortest paths from source.
-
-    Walks over the shortest-path DAG in distance order; a vertex with an
-    empty set at finite distance has no rainbow geodesic from source.
-    """
-    g = c.host
+def _geodesic_dag(g: Graph, source: int) -> list[tuple[int, int, int]]:
+    """Arcs (v, w, edge index) of the shortest-path DAG from source, by distance of v."""
     dist = distances_from(g, source)
-    colored_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for (u, v), col in zip(g.edge_list(), c.colors):
-        colored_adj[u].append((v, col))
-        colored_adj[v].append((u, col))
+    index = g.edge_index
     order = sorted((d, v) for v, d in enumerate(dist) if d != UNREACHABLE)
-    sets: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    sets[source].add(0)
-    for d, v in order:
-        here = sets[v]
+    return [
+        (v, w, index[canonical_pair(v, w)]) for d, v in order for w in g.adjacency[v] if dist[w] == d + 1
+    ]
+
+
+def _geodesic_reach(colors: tuple[int, ...], dag: list[tuple[int, int, int]], source: int) -> int:
+    """Bitmask of vertices with a rainbow shortest path from source.
+
+    Carries, per vertex, the color sets realizable along shortest paths from
+    source, walking dag (from _geodesic_dag) in distance order.
+    """
+    sets: dict[int, set[int]] = {source: {0}}
+    for v, w, e in dag:
+        here = sets.get(v)
         if not here:
             continue
-        for w, col in colored_adj[v]:
-            if dist[w] != d + 1:
-                continue
-            bit = 1 << col
-            target = sets[w]
-            for s in here:
-                if not s & bit:
-                    target.add(s | bit)
-    return sets
+        bit = 1 << colors[e]
+        target = sets.setdefault(w, set())
+        for s in here:
+            if not s & bit:
+                target.add(s | bit)
+    reached = 0
+    for v, s in sets.items():
+        if s:
+            reached |= 1 << v
+    return reached
 
 
 def exists_geodesic_rainbow_path(c: EdgeColoring, u: int, v: int) -> bool:
@@ -170,7 +171,34 @@ def exists_geodesic_rainbow_path(c: EdgeColoring, u: int, v: int) -> bool:
     if u == v:
         raise ValueError("endpoints must differ")
     _require_pair_connected(c.host, u, v)
-    return bool(_geodesic_color_sets(c, u)[v])
+    return bool(_geodesic_reach(c.colors, _geodesic_dag(c.host, u), u) >> v & 1)
+
+
+def _targets_by_source(n: int, required: PairSet | None, skip: PairSet | None) -> list[tuple[int, int]]:
+    """(source, target bitmask) in source order: the required pairs, else every pair not skipped."""
+    if required is not None:
+        wanted: dict[int, int] = {}
+        for u, v in required.pairs:
+            wanted[u] = wanted.get(u, 0) | 1 << v
+    else:
+        wanted = {u: (1 << n) - (2 << u) for u in range(n - 1)}
+        for u, v in skip.pairs if skip is not None else ():
+            wanted[u] = wanted.get(u, 0) & ~(1 << v)
+    return sorted((u, targets) for u, targets in wanted.items() if targets)
+
+
+def _first_missing_pair(wanted: list[tuple[int, int]], reach) -> tuple[int, int] | None:
+    """Earliest (source, target) of wanted whose target is not in reach(source, targets)."""
+    for u, targets in wanted:
+        missing = targets & ~reach(u, targets)
+        if missing:
+            return u, (missing & -missing).bit_length() - 1
+    return None
+
+
+def _rainbow_reacher(g: Graph, colors: tuple[int, ...], k: int):
+    masks = _color_neighbor_masks(g, colors, k)
+    return lambda u, targets: _rainbow_reach(masks, k, u, targets)
 
 
 def first_non_rainbow_pair(
@@ -184,28 +212,8 @@ def first_non_rainbow_pair(
     from the all-pairs scan. Unreachable pairs count as failures here; use
     the public predicates for the loud Disconnected errors.
     """
-    masks = _color_neighbor_masks(c)
-    n = c.host.vertex_count
-    wanted: dict[int, int] = {}
-    if required is not None:
-        for u, v in required:
-            wanted[u] = wanted.get(u, 0) | 1 << v
-    else:
-        for u in range(n - 1):
-            mask = 0
-            for v in range(u + 1, n):
-                if skip is not None and (u, v) in skip:
-                    continue
-                mask |= 1 << v
-            if mask:
-                wanted[u] = mask
-    for u in sorted(wanted):
-        targets = wanted[u]
-        reach = _rainbow_reach(masks, c.color_count, u, targets)
-        missing = targets & ~reach
-        if missing:
-            return u, (missing & -missing).bit_length() - 1
-    return None
+    wanted = _targets_by_source(c.host.vertex_count, required, skip)
+    return _first_missing_pair(wanted, _rainbow_reacher(c.host, c.colors, c.color_count))
 
 
 def first_non_geodesic_rainbow_pair(
@@ -214,33 +222,41 @@ def first_non_geodesic_rainbow_pair(
     skip: PairSet | None = None,
 ) -> tuple[int, int] | None:
     """Earliest pair with no rainbow shortest path (unreachable pairs fail)."""
-    n = c.host.vertex_count
-    wanted: dict[int, set[int]] = {}
-    if required is not None:
-        for u, v in required:
-            wanted.setdefault(u, set()).add(v)
-    else:
-        for u in range(n - 1):
-            vs = {v for v in range(u + 1, n) if skip is None or (u, v) not in skip}
-            if vs:
-                wanted[u] = vs
-    for u in sorted(wanted):
-        sets = _geodesic_color_sets(c, u)
-        for v in sorted(wanted[u]):
-            if not sets[v]:
-                return u, v
-    return None
+    wanted = _targets_by_source(c.host.vertex_count, required, skip)
+    return _first_missing_pair(wanted, lambda u, _: _geodesic_reach(c.colors, _geodesic_dag(c.host, u), u))
+
+
+def subset_rc_checker(g: Graph, pairs: PairSet, k: int) -> Callable[[tuple[int, ...]], bool]:
+    """Predicate on color tuples of g: does every pair get a rainbow path?
+
+    Built once for a search that tries many colorings of one host: groups
+    the pairs by source (and, in subset_src_checker, builds each source's
+    shortest-path DAG) once. It does not re-check connectivity, so the
+    caller must have rejected disconnected pairs.
+    """
+    wanted = _targets_by_source(g.vertex_count, pairs, None)
+    return lambda colors: _first_missing_pair(wanted, _rainbow_reacher(g, colors, k)) is None
+
+
+def subset_src_checker(g: Graph, pairs: PairSet, k: int) -> Callable[[tuple[int, ...]], bool]:
+    """Like subset_rc_checker, for rainbow shortest paths."""
+    wanted = _targets_by_source(g.vertex_count, pairs, None)
+    dags = {u: _geodesic_dag(g, u) for u, _ in wanted}
+    return lambda colors: (
+        _first_missing_pair(wanted, lambda u, _: _geodesic_reach(colors, dags[u], u))
+        is None
+    )
 
 
 def is_rainbow_connected(c: EdgeColoring) -> bool:
     """True iff every vertex pair of the (connected) host has a rainbow path."""
-    _raise_if_disconnected(c.host)
+    is_connected(c.host, loud=True)
     return first_non_rainbow_pair(c) is None
 
 
 def is_strong_rainbow_connected(c: EdgeColoring) -> bool:
     """True iff every vertex pair of the (connected) host has a rainbow geodesic."""
-    _raise_if_disconnected(c.host)
+    is_connected(c.host, loud=True)
     return first_non_geodesic_rainbow_pair(c) is None
 
 
@@ -258,27 +274,16 @@ def is_subset_strong_rainbow_connected(c: EdgeColoring, pairs: PairSet) -> bool:
     return first_non_geodesic_rainbow_pair(c, required=pairs) is None
 
 
-def _raise_if_disconnected(g: Graph) -> None:
-    if g.vertex_count == 0:
-        return
-    dist = distances_from(g, 0)
-    for v, d in enumerate(dist):
-        if d == UNREACHABLE:
-            raise DisconnectedError(f"no path between 0 and {v}")
-
-
 def load_coloring_json(obj: dict, host: Graph) -> EdgeColoring:
     """Decode {"k": int, "colors": [[u, v, c], ...]} against a host graph."""
-    from .errors import ParseError
-
-    if not isinstance(obj, dict) or "k" not in obj or "colors" not in obj:
-        raise ParseError("coloring JSON needs 'k' and 'colors'")
+    if not isinstance(obj, dict) or "k" not in obj or not isinstance(obj.get("colors"), list):
+        raise ParseError("coloring JSON needs 'k' and a 'colors' list")
     k = obj["k"]
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ParseError("'k' must be a positive integer")
     assignment: dict[tuple[int, int], int] = {}
     for entry in obj["colors"]:
-        if not (isinstance(entry, list) and len(entry) == 3):
+        if not (isinstance(entry, list) and len(entry) == 3 and all(type(x) is int for x in entry)):
             raise ParseError(f"bad color triple {entry!r}")
         u, v, col = entry
         key = canonical_pair(u, v)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -38,9 +39,19 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def edge_order(self) -> tuple[tuple[int, int], ...]:
+        """Edges sorted by endpoints, the canonical edge order; built on first use."""
+        return tuple(sorted(self.edges))
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """Position of each canonical edge in edge_order."""
+        return {e: i for i, e in enumerate(self.edge_order)}
+
     def edge_list(self) -> list[tuple[int, int]]:
-        """Edges sorted by endpoints; the canonical edge order used everywhere."""
-        return sorted(self.edges)
+        """edge_order as a fresh list."""
+        return list(self.edge_order)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -160,10 +171,6 @@ def distances_from(g: Graph, source: int) -> list[int | float]:
     return dist
 
 
-def distance(g: Graph, u: int, v: int) -> int | float:
-    return distances_from(g, u)[v]
-
-
 def diameter(g: Graph) -> int | float:
     """Largest pairwise distance; math.inf when disconnected, 0 for <= 1 vertex."""
     if g.vertex_count <= 1:
@@ -178,10 +185,17 @@ def diameter(g: Graph) -> int | float:
     return worst
 
 
-def is_connected(g: Graph) -> bool:
+def is_connected(g: Graph, loud: bool = False) -> bool:
+    """True iff every vertex is reachable from vertex 0; with loud, a disconnected
+    graph raises DisconnectedError naming the first unreachable vertex instead."""
     if g.vertex_count <= 1:
         return True
-    return UNREACHABLE not in distances_from(g, 0)
+    dist = distances_from(g, 0)
+    if UNREACHABLE not in dist:
+        return True
+    if loud:
+        raise DisconnectedError(f"no path between 0 and {dist.index(UNREACHABLE)}")
+    return False
 
 
 def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:

@@ -49,6 +49,8 @@ def parse_edge_list(text: str | bytes) -> Graph:
         return a, b
 
     n, m = two_ints(rows[0])
+    if n < 0:
+        raise ParseError("vertex count must be nonnegative", rows[0][0], 1)
     if len(rows) - 1 != m:
         raise ParseError(f"header promises {m} edges, found {len(rows) - 1}", rows[0][0])
     edges = [two_ints(row) for row in rows[1:]]
@@ -61,24 +63,39 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _instance_from_json_obj(obj: object) -> tuple[Graph, PairSet | None, int | None]:
+def _require_keys(obj: object, what: str, keys: tuple[str, ...]) -> None:
     if not isinstance(obj, dict):
-        raise ParseError("instance JSON must be an object")
-    if "n" not in obj or "edges" not in obj:
-        raise ParseError("instance JSON needs 'n' and 'edges'")
-    n = obj["n"]
-    if not isinstance(n, int) or n < 0:
-        raise ParseError("'n' must be a nonnegative integer")
-    edges = obj["edges"]
-    if not isinstance(edges, list):
-        raise ParseError("'edges' must be a list of pairs")
-    graph = new_graph(n, [tuple(e) for e in edges])
-    pairs = None
-    if obj.get("pairs") is not None:
-        pairs = make_pairs([tuple(p) for p in obj["pairs"]], n)
-    k = obj.get("k")
-    if k is not None and (not isinstance(k, int) or k < 1):
-        raise ParseError("'k' must be a positive integer")
+        raise ParseError(f"{what} JSON must be an object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ParseError(f"{what} JSON needs {missing[0]!r}")
+
+
+def _count(obj: dict, key: str, least: int) -> int:
+    """obj[key] as an integer >= least; JSON booleans do not count as integers."""
+    value = obj[key]
+    if type(value) is not int or value < least:
+        raise ParseError(f"{key!r} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
+def _int_pairs(obj: dict, key: str) -> list[tuple[int, int]]:
+    """obj[key] as a list of [int, int] entries."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a list of pairs")
+    for entry in value:
+        if not (isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry)):
+            raise ParseError(f"bad entry {entry!r} in {key!r}: expected [int, int]")
+    return [tuple(entry) for entry in value]
+
+
+def _instance_from_json_obj(obj: object) -> tuple[Graph, PairSet | None, int | None]:
+    _require_keys(obj, "instance", ("n", "edges"))
+    n = _count(obj, "n", 0)
+    graph = new_graph(n, _int_pairs(obj, "edges"))
+    pairs = make_pairs(_int_pairs(obj, "pairs"), n) if obj.get("pairs") is not None else None
+    k = _count(obj, "k", 1) if obj.get("k") is not None else None
     return graph, pairs, k
 
 
@@ -154,31 +171,27 @@ def gadget_json_obj(g: Gadget) -> dict:
     return obj
 
 
-def gadget_from_json_obj(obj: dict) -> Gadget:
-    """Rebuild a gadget record verbatim; no structural validation on purpose,
-    so deliberately corrupted files can be fed to the checkers."""
-    if not isinstance(obj, dict) or "order" not in obj:
-        raise ParseError("gadget JSON needs an 'order'")
-    graph = new_graph(obj["n"], [tuple(e) for e in obj["edges"]])
-    pairs = make_pairs([tuple(p) for p in obj["pairs"]], obj["n"])
-    roles = {int(v): tuple(role) for v, role in obj.get("roles", {}).items()}
+def gadget_from_json_obj(obj: object) -> Gadget:
+    """Rebuild a gadget record verbatim. Only the JSON shapes are checked, on
+    purpose, so deliberately corrupted gadgets can be fed to the checkers."""
+    _require_keys(obj, "gadget", ("order", "n", "edges", "pairs", "base_vertices"))
+    n = _count(obj, "n", 0)
+    graph = new_graph(n, _int_pairs(obj, "edges"))
+    pairs = make_pairs(_int_pairs(obj, "pairs"), n)
     inner = gadget_from_json_obj(obj["inner"]) if obj.get("inner") else None
-    copies = None
-    carried = None
-    if obj.get("copies") is not None:
-        copies = {int(b): tuple(cs) for b, cs in obj["copies"].items()}
-    if obj.get("carried") is not None:
-        carried = {int(v): w for v, w in obj["carried"].items()}
-    return Gadget(
-        graph,
-        obj["order"],
-        tuple(obj["base_vertices"]),
-        pairs,
-        roles,
-        inner,
-        copies,
-        carried,
-    )
+    try:
+        base = tuple(obj["base_vertices"])
+        roles = {int(v): tuple(role) for v, role in obj.get("roles", {}).items()}
+        copies = carried = None
+        if obj.get("copies") is not None:
+            copies = {int(b): tuple(cs) for b, cs in obj["copies"].items()}
+        if obj.get("carried") is not None:
+            carried = {int(v): w for v, w in obj["carried"].items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed gadget record: {exc}") from exc
+    if not all(type(v) is int for v in base):
+        raise ParseError("'base_vertices' must be a list of integers")
+    return Gadget(graph, _count(obj, "order", 0), base, pairs, roles, inner, copies, carried)
 
 
 def dump_gadget(g: Gadget) -> str:
@@ -199,7 +212,3 @@ def reduced_instance_json_obj(r: ReducedInstance) -> dict:
     obj["base_vertices"] = list(r.gadget.base_vertices)
     obj["layers"] = {str(v): tag for v, tag in sorted(gadget_layers(r.gadget).items())}
     return obj
-
-
-def emit_reduced_instance(r: ReducedInstance) -> str:
-    return json.dumps(reduced_instance_json_obj(r), sort_keys=True) + "\n"

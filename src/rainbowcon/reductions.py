@@ -373,7 +373,7 @@ def split_base(g: Gadget) -> SplitBase:
     for b in sorted(base):
         c1, c2, c3 = copies[b]
         edges += [(c1, c2), (c1, c3), (c2, c3)]
-    for u, v in g.graph.edge_list():
+    for u, v in g.graph.edges:
         if u in base and v in base:
             raise MissingLayerTagsError("gadget has an edge between two base vertices")
         if u in base:
@@ -404,7 +404,7 @@ def build_gadget(n: int, pairs: PairSet, order: int) -> Gadget:
     shift = n
     copies = {b: tuple(c + shift for c in cs) for b, cs in sp.copies.items()}
     carried = {v: w + shift for v, w in sp.carried.items()}
-    edges = [(u + shift, v + shift) for u, v in sp.graph.edge_list()]
+    edges = [(u + shift, v + shift) for u, v in sp.graph.edges]
     for i, b in enumerate(inner.base_vertices):
         for c in copies[b]:
             edges.append((i, c))
@@ -429,7 +429,7 @@ def _twin_tags(rx: tuple, ry: tuple) -> bool:
 
 def _order2_colors(g: Gadget) -> dict[tuple[int, int], int]:
     colors: dict[tuple[int, int], int] = {}
-    for u, v in g.graph.edge_list():
+    for u, v in g.graph.edge_order:
         ru, rv = g.roles[u], g.roles[v]
         if ru[0] != "base" and rv[0] != "base":
             colors[(u, v)] = 0
@@ -444,7 +444,7 @@ def _order2_colors(g: Gadget) -> dict[tuple[int, int], int]:
 
 def _order3_colors(g: Gadget) -> dict[tuple[int, int], int]:
     colors: dict[tuple[int, int], int] = {}
-    for u, v in g.graph.edge_list():
+    for u, v in g.graph.edge_order:
         ru, rv = g.roles[u], g.roles[v]
         if ru[0] == "base" or rv[0] == "base":
             ro = rv if ru[0] == "base" else ru
@@ -484,17 +484,16 @@ def witness_coloring(g: Gadget) -> EdgeColoring:
     inner_coloring = witness_coloring(g.inner)
     inner_base = set(g.inner.base_vertices)
     colors: dict[tuple[int, int], int] = {}
-    for u, v in g.inner.graph.edge_list():
+    for (u, v), inherited in zip(g.inner.graph.edge_order, inner_coloring.colors):
         if u in inner_base or v in inner_base:
             b, w = (u, v) if u in inner_base else (v, u)
             cw = g.carried[w]
             c1, c2, c3 = g.copies[b]
-            inherited = inner_coloring.color_of(u, v)
             colors[canonical_pair(c1, cw)] = inherited
             colors[canonical_pair(c2, cw)] = inherited
             colors[canonical_pair(c3, cw)] = k - 2
         else:
-            colors[canonical_pair(g.carried[u], g.carried[v])] = inner_coloring.color_of(u, v)
+            colors[canonical_pair(g.carried[u], g.carried[v])] = inherited
     for i, b in enumerate(g.inner.base_vertices):
         c1, c2, c3 = g.copies[b]
         colors[canonical_pair(c1, c2)] = k - 1
@@ -566,6 +565,6 @@ def combine_colorings(r: ReducedInstance, base: EdgeColoring, gadget: EdgeColori
     if base.color_count > k or gadget.color_count > k:
         raise DomainMismatchError(f"colorings must use at most {k} color indices")
     colors: dict[tuple[int, int], int] = {}
-    for e in r.graph.edge_list():
+    for e in r.graph.edge_order:
         colors[e] = base.color_of(*e) if e in r.base_edges else gadget.color_of(*e)
     return edge_coloring(r.graph, k, colors)

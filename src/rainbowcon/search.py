@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coloring import (
-    EdgeColoring,
-    is_subset_rainbow_connected,
-    is_subset_strong_rainbow_connected,
-)
+from .coloring import EdgeColoring, subset_rc_checker, subset_src_checker
 from .errors import BudgetExceededError, DisconnectedError, DisconnectedPairError
 from .graph import UNREACHABLE, Graph, PairSet, all_pairs, diameter, distances_from, is_connected
 
@@ -112,19 +108,19 @@ def _precheck_pairs(g: Graph, pairs: PairSet, k: int) -> bool:
     return True
 
 
-def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, predicate) -> SolveResult:
+def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, checker) -> SolveResult:
     if k < 1:
         raise ValueError("k must be positive")
     if not _precheck_pairs(g, pairs, k):
         return SolveResult(False, None, 0)
+    accepts = checker(g, pairs, k)
     nodes = 0
     for colors in restricted_growth_colorings(g.edge_count, k):
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceededError(f"exceeded budget of {budget} colorings")
-        candidate = EdgeColoring(g, k, colors)
-        if predicate(candidate, pairs):
-            return SolveResult(True, candidate, nodes)
+        if accepts(colors):
+            return SolveResult(True, EdgeColoring(g, k, colors), nodes)
     return SolveResult(False, None, nodes)
 
 
@@ -135,12 +131,12 @@ def subset_rc_leq(g: Graph, pairs: PairSet, k: int, budget: int | None = None) -
     permutations, which preserve the verdict) and returns the first, hence
     lexicographically least, feasible coloring as witness.
     """
-    return _subset_search(g, pairs, k, budget, is_subset_rainbow_connected)
+    return _subset_search(g, pairs, k, budget, subset_rc_checker)
 
 
 def subset_src_leq(g: Graph, pairs: PairSet, k: int, budget: int | None = None) -> SolveResult:
     """Like subset_rc_leq but each pair needs a rainbow shortest path."""
-    return _subset_search(g, pairs, k, budget, is_subset_strong_rainbow_connected)
+    return _subset_search(g, pairs, k, budget, subset_src_checker)
 
 
 def _exact(g: Graph, solver, budget: int | None) -> OptResult:

@@ -17,14 +17,12 @@ from .coloring import (
     EdgeColoring,
     first_non_geodesic_rainbow_pair,
     first_non_rainbow_pair,
-    is_rainbow_connected,
     is_subset_rainbow_connected,
     is_subset_strong_rainbow_connected,
 )
 from .graph import (
     UNREACHABLE,
     Graph,
-    PairSet,
     all_pairs,
     distances_from,
     geodesics,

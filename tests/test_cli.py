@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rainbowcon import is_rainbow_connected, make_pairs, new_graph
 from rainbowcon.cli import main
 from rainbowcon.io import dump_gadget, emit_edge_list, emit_instance, load_coloring
@@ -176,3 +178,36 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert out_file.read_text().startswith("rc = 2")
+
+
+GOOD = '{"n": 2, "edges": [[0, 1]], "pairs": [[0, 1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve", "--problem", "rc"], '{"n": 2, "edges": [[0]]}'),
+        (["solve", "--problem", "rc"], '{"n": 2, "edges": [[0, 1, 2]]}'),
+        (["solve", "--problem", "rc"], '{"n": 2, "edges": [[0, "1"]]}'),
+        (["solve", "--problem", "rc"], '{"n": 2, "edges": [[0, 1.0]]}'),
+        (["solve", "--problem", "rc"], '{"n": 2, "edges": 5}'),
+        (["solve", "--problem", "rc"], '{"n": true, "edges": []}'),
+        (["solve", "--problem", "rc"], '{"n": 1, "edges": []}'),
+        (["solve", "--problem", "rc"], "-1 0\n"),
+        (["solve", "--problem", "subset-rc", "--k", "2"], '{"n": 2, "edges": [[0, 1]], "pairs": [5]}'),
+        (["solve", "--problem", "subset-rc", "--k", "2"], '{"n": 2, "edges": [], "pairs": [[0, true]]}'),
+        (["solve", "--problem", "subset-rc"], '{"n": 2, "edges": [[0, 1]], "pairs": [[0, 1]], "k": true}'),
+        (["solve", "--problem", "rc", "--k", "0"], GOOD),
+        (["solve", "--problem", "chromatic", "--k", "-1"], GOOD),
+        (["verify", "--check", "witness"], '{"order": 2, "edges": [[0, 1]], "pairs": []}'),
+        (["verify", "--check", "witness"], '{"order": 2, "n": 2, "edges": [[0, 1]], "pairs": [], '
+                                           '"base_vertices": 7}'),
+        (["verify", "--check", "witness", "--k", "0"], GOOD),
+    ],
+)
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, text):
+    path = write(tmp_path, "bad.json", text)
+    assert main(argv + ["--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -23,6 +23,7 @@ from rainbowcon import (
     restricted_growth_colorings,
     star_reduction,
 )
+from rainbowcon.coloring import subset_rc_checker, subset_src_checker
 
 from oracles import all_graphs, brute_geodesic_rainbow_exists, brute_rainbow_exists, floyd_warshall
 
@@ -147,6 +148,18 @@ def test_geodesic_existence_matches_brute_force_random(c):
             if dist[u][v] == float("inf"):
                 continue
             assert exists_geodesic_rainbow_path(c, u, v) == brute_geodesic_rainbow_exists(c, u, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(colored_graphs(max_n=6))
+def test_search_checkers_match_brute_force_on_connected_pairs(c):
+    dist = floyd_warshall(c.host)
+    n = c.host.vertex_count
+    pairs = make_pairs([(u, v) for u in range(n) for v in range(u + 1, n) if dist[u][v] != float("inf")], n)
+    rc = all(brute_rainbow_exists(c, u, v) for u, v in pairs)
+    src = all(brute_geodesic_rainbow_exists(c, u, v) for u, v in pairs)
+    assert subset_rc_checker(c.host, pairs, c.color_count)(c.colors) == rc
+    assert subset_src_checker(c.host, pairs, c.color_count)(c.colors) == src
 
 
 def test_predicate_implications_exhaustively():

@@ -13,6 +13,7 @@ from rainbowcon import (
     build_gadget,
     build_order2_gadget,
     build_order3_gadget,
+    check_witness,
     combine_colorings,
     exists_rainbow_path,
     gadget_layers,
@@ -160,6 +161,14 @@ def test_witness_coloring_small_sweep(order):
             assert witness.color_count == order
             assert set(witness.colors) == set(range(order))
             assert first_non_rainbow_pair(witness, skip=g.pairs) is None
+
+
+def test_witness_coloring_at_order5_on_ten_bases():
+    # 204 vertices and 7,066 edges: an edge lookup that re-sorts the edges
+    # makes this witness take half a minute instead of a fraction of a second
+    g = build_gadget(10, make_pairs([(i, i + 1) for i in range(9)], 10), 5)
+    assert (g.graph.vertex_count, g.graph.edge_count) == (204, 7066)
+    assert check_witness(g, witness_coloring(g)).passed
 
 
 def test_witness_coloring_against_brute_force():
