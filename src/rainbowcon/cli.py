@@ -198,6 +198,8 @@ def _gadget_for_check(args: argparse.Namespace):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.check == "all":
+        if args.n_max < 0:
+            raise ToolkitError("--n-max must be nonnegative")
         reports = run_battery(n_max=args.n_max, seeds=args.seeds, seed=args.seed)
     else:
         if args.check in ("pair-distances", "nonpair-distances", "witness"):
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, help="color budget")
         p.add_argument("--output", help="write results here instead of stdout")
         p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-        p.add_argument("--budget", type=int, help="search node budget")
+        p.add_argument("--budget", type=int, help="cap on path-table entries plus search nodes per decision")
 
     solve = sub.add_parser("solve", help="run an exact solver")
     add_io(solve)

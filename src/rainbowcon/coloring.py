@@ -9,7 +9,7 @@ instances cheap. Vertex sets are carried as integer bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DisconnectedError, IndexOutOfRangeError, ParseError
 from .graph import UNREACHABLE, Graph, PairSet, Path, canonical_pair, check_path, distances_from, is_connected
@@ -224,28 +224,6 @@ def first_non_geodesic_rainbow_pair(
     """Earliest pair with no rainbow shortest path (unreachable pairs fail)."""
     wanted = _targets_by_source(c.host.vertex_count, required, skip)
     return _first_missing_pair(wanted, lambda u, _: _geodesic_reach(c.colors, _geodesic_dag(c.host, u), u))
-
-
-def subset_rc_checker(g: Graph, pairs: PairSet, k: int) -> Callable[[tuple[int, ...]], bool]:
-    """Predicate on color tuples of g: does every pair get a rainbow path?
-
-    Built once for a search that tries many colorings of one host: groups
-    the pairs by source (and, in subset_src_checker, builds each source's
-    shortest-path DAG) once. It does not re-check connectivity, so the
-    caller must have rejected disconnected pairs.
-    """
-    wanted = _targets_by_source(g.vertex_count, pairs, None)
-    return lambda colors: _first_missing_pair(wanted, _rainbow_reacher(g, colors, k)) is None
-
-
-def subset_src_checker(g: Graph, pairs: PairSet, k: int) -> Callable[[tuple[int, ...]], bool]:
-    """Like subset_rc_checker, for rainbow shortest paths."""
-    wanted = _targets_by_source(g.vertex_count, pairs, None)
-    dags = {u: _geodesic_dag(g, u) for u, _ in wanted}
-    return lambda colors: (
-        _first_missing_pair(wanted, lambda u, _: _geodesic_reach(colors, dags[u], u))
-        is None
-    )
 
 
 def is_rainbow_connected(c: EdgeColoring) -> bool:

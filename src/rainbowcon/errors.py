@@ -40,7 +40,7 @@ class PathNotInGraphError(ToolkitError):
 
 
 class BudgetExceededError(ToolkitError):
-    """A search exceeded its node budget before reaching a verdict."""
+    """A search exceeded its budget before reaching a verdict."""
 
 
 class EmptyGraphError(ToolkitError):

@@ -53,14 +53,8 @@ class Graph:
         """edge_order as a fresh list."""
         return list(self.edge_order)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_pair(u, v) in self.edges
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
 
 def _check_vertex(v: int, vertex_count: int) -> None:
@@ -217,11 +211,13 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     return True, tuple(side)
 
 
-def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int) -> list[Path]:
+def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int, limit: int | None = None) -> list[Path]:
     """All simple u-v paths with at most max_len edges, in lexicographic order.
 
     Depth-first with ascending neighbor order; branches that cannot reach v
-    within the remaining budget are pruned, which does not change the output.
+    within the remaining length are pruned, which does not change the output.
+    With limit, enumeration stops as soon as more than limit paths are found,
+    so the list then holds the first limit + 1 paths.
     """
     _check_vertex(u, g.vertex_count)
     _check_vertex(v, g.vertex_count)
@@ -238,6 +234,8 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int) -> list[Path]:
     def extend(x: int) -> None:
         used = len(stack) - 1
         for w in g.adjacency[x]:
+            if limit is not None and len(out) > limit:
+                return
             if w == v:
                 if used + 1 <= max_len:
                     out.append(Path(tuple(stack) + (v,)))
@@ -254,8 +252,9 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int) -> list[Path]:
     return out
 
 
-def geodesics(g: Graph, u: int, v: int) -> list[Path]:
-    """All shortest u-v paths, in lexicographic order, via the shortest-path DAG."""
+def geodesics(g: Graph, u: int, v: int, limit: int | None = None) -> list[Path]:
+    """All shortest u-v paths, in lexicographic order, via the shortest-path DAG;
+    limit stops the enumeration as in simple_paths_up_to."""
     _check_vertex(u, g.vertex_count)
     _check_vertex(v, g.vertex_count)
     if u == v:
@@ -270,6 +269,8 @@ def geodesics(g: Graph, u: int, v: int) -> list[Path]:
 
     def extend(x: int) -> None:
         for w in g.adjacency[x]:
+            if limit is not None and len(out) > limit:
+                return
             if dist_u[w] != dist_u[x] + 1 or dist_u[w] + dist_v[w] != total:
                 continue
             if w == v:

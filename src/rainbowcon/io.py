@@ -189,8 +189,8 @@ def gadget_from_json_obj(obj: object) -> Gadget:
             carried = {int(v): w for v, w in obj["carried"].items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed gadget record: {exc}") from exc
-    if not all(type(v) is int for v in base):
-        raise ParseError("'base_vertices' must be a list of integers")
+    if not all(type(v) is int and 0 <= v < n for v in base):
+        raise ParseError(f"'base_vertices' must be a list of vertices in 0..{n - 1}")
     return Gadget(graph, _count(obj, "order", 0), base, pairs, roles, inner, copies, carried)
 
 

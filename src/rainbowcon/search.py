@@ -1,19 +1,20 @@
-"""Exact decision and optimization procedures by exhaustive backtracking search.
+"""Exact decision and optimization procedures by backtracking search.
 
-These are the brute-force oracles the verifiers lean on, so they favor a
-wrong-answer-impossible structure: no heuristics, explicit budgets that
-raise instead of truncating, and canonical enumeration orders that make
-every returned witness reproducible.
+These are the oracles the verifiers lean on, so they favor a
+wrong-answer-impossible structure: no heuristics, pruning only of subtrees
+that hold no feasible coloring, explicit budgets that raise instead of
+truncating, and canonical enumeration orders that make every returned
+witness reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .coloring import EdgeColoring, subset_rc_checker, subset_src_checker
+from .coloring import EdgeColoring
 from .errors import BudgetExceededError, DisconnectedError, DisconnectedPairError
-from .graph import UNREACHABLE, Graph, PairSet, all_pairs, diameter, distances_from, is_connected
+from .graph import UNREACHABLE, Graph, PairSet, all_pairs, diameter, distances_from, geodesics
+from .graph import is_connected, simple_paths_up_to
 
 
 @dataclass(frozen=True)
@@ -67,35 +68,8 @@ def vertex_coloring_leq(g: Graph, k: int) -> SolveResult:
     return SolveResult(False, None, nodes)
 
 
-def restricted_growth_colorings(length: int, color_count: int) -> Iterator[tuple[int, ...]]:
-    """Canonical edge colorings: one representative per color-permutation class.
-
-    Position t may use colors 0..min(1 + max color so far, color_count - 1);
-    yielded in lexicographic order.
-    """
-    if length == 0:
-        yield ()
-        return
-    out = [0] * length
-
-    def rec(t: int, top: int) -> Iterator[tuple[int, ...]]:
-        if t == length:
-            yield tuple(out)
-            return
-        limit = min(top + 1, color_count - 1)
-        for c in range(limit + 1):
-            out[t] = c
-            yield from rec(t + 1, top if c <= top else c)
-
-    yield from rec(0, -1)
-
-
 def _precheck_pairs(g: Graph, pairs: PairSet, k: int) -> bool:
-    """Raise on disconnected pairs; return False when some pair is too far.
-
-    A rainbow path with k colors has at most k edges, so any pair at
-    distance above k is immediately infeasible.
-    """
+    """Raise on disconnected pairs; False if a pair is farther apart than a rainbow path reaches (k)."""
     cache: dict[int, list[int | float]] = {}
     for u, v in pairs:
         if u not in cache:
@@ -108,35 +82,81 @@ def _precheck_pairs(g: Graph, pairs: PairSet, k: int) -> bool:
     return True
 
 
-def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, checker) -> SolveResult:
+def _charge(budget: int | None, used: int) -> None:
+    if budget is not None and used > budget:
+        raise BudgetExceededError(f"exceeded budget of {budget} path-table entries and search nodes")
+
+
+def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, paths_of) -> SolveResult:
+    """Color the edges in edge order with restricted growth (one coloring per
+    class of color permutations, which keep the verdict), tracking each pair's
+    admissible paths as listed by paths_of(u, v, limit). A color on an edge
+    kills the live paths through it that already hold that color; a pair left
+    with none cuts the subtree. Nodes are colors tried on an edge.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if not _precheck_pairs(g, pairs, k):
         return SolveResult(False, None, 0)
-    accepts = checker(g, pairs, k)
+    m = g.edge_count
+    through: list[list[int]] = [[] for _ in range(m)]  # ids of the paths through each edge
+    owner, live = [], []  # the pair of each path; the live paths of each pair
+    for u, v in pairs:
+        paths = paths_of(u, v, None if budget is None else budget - len(owner))
+        for path in paths:
+            for e in path.edges():
+                through[g.edge_index[e]].append(len(owner))
+            owner.append(len(live))
+        live.append(len(paths))
+        _charge(budget, len(owner))
+    dead = 1 << k
+    held = [0] * len(owner)  # colors on each path's colored edges, plus dead once killed
+    colors = [0] * m
     nodes = 0
-    for colors in restricted_growth_colorings(g.edge_count, k):
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise BudgetExceededError(f"exceeded budget of {budget} colorings")
-        if accepts(colors):
-            return SolveResult(True, EdgeColoring(g, k, colors), nodes)
+
+    def assign(e: int, top: int) -> bool:
+        nonlocal nodes
+        if e == m:
+            return True  # every live path is fully colored and rainbow
+        for c in range(min(top + 1, k - 1) + 1):
+            nodes += 1
+            _charge(budget, len(owner) + nodes)
+            bit = 1 << c
+            grown = [j for j in through[e] if not held[j] & (bit | dead)]  # live, without c so far
+            killed = [j for j in through[e] if held[j] & (bit | dead) == bit]  # live, already hold c
+            for j in grown:
+                held[j] |= bit
+            for j in killed:
+                held[j] |= dead
+                live[owner[j]] -= 1
+            colors[e] = c
+            if all(live[owner[j]] for j in killed) and assign(e + 1, top if c <= top else c):
+                return True
+            for j in grown:
+                held[j] ^= bit
+            for j in killed:
+                held[j] ^= dead
+                live[owner[j]] += 1
+        return False
+
+    if all(live) and assign(0, -1):
+        return SolveResult(True, EdgeColoring(g, k, tuple(colors)), nodes)
     return SolveResult(False, None, nodes)
 
 
 def subset_rc_leq(g: Graph, pairs: PairSet, k: int, budget: int | None = None) -> SolveResult:
     """Decide whether some k-edge-coloring gives every pair in pairs a rainbow path.
 
-    Enumerates colorings in restricted-growth order (quotienting color
-    permutations, which preserve the verdict) and returns the first, hence
-    lexicographically least, feasible coloring as witness.
+    Admissible paths are the simple ones of at most k edges. The witness is the
+    lexicographically least feasible restricted-growth coloring. Raises
+    BudgetExceededError once path-table entries plus search nodes exceed budget.
     """
-    return _subset_search(g, pairs, k, budget, subset_rc_checker)
+    return _subset_search(g, pairs, k, budget, lambda u, v, limit: simple_paths_up_to(g, u, v, k, limit))
 
 
 def subset_src_leq(g: Graph, pairs: PairSet, k: int, budget: int | None = None) -> SolveResult:
     """Like subset_rc_leq but each pair needs a rainbow shortest path."""
-    return _subset_search(g, pairs, k, budget, subset_src_checker)
+    return _subset_search(g, pairs, k, budget, lambda u, v, limit: geodesics(g, u, v, limit))
 
 
 def _exact(g: Graph, solver, budget: int | None) -> OptResult:

@@ -286,9 +286,9 @@ def check_rc_equivalence(
     Infeasible side: path containment holds and every raw k-coloring of
     the base edges fails, so a k-rainbow coloring of the reduced graph
     would restrict to a feasible base coloring, which does not exist.
-    With full_bruteforce, additionally decide the reduced graph by direct
-    canonical enumeration and require agreement (micro instances only;
-    raises BudgetExceededError beyond bruteforce_budget colorings).
+    With full_bruteforce, additionally decide the reduced graph by the exact
+    search and require agreement (micro instances only; raises
+    BudgetExceededError beyond bruteforce_budget path-table entries and nodes).
     """
     t0 = time.perf_counter()
     r = rc_reduction(inst)

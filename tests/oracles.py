@@ -103,3 +103,49 @@ def connected_graph_representatives(n: int) -> list[Graph]:
 
 def raw_colorings(edge_count: int, k: int):
     return itertools.product(range(k), repeat=edge_count)
+
+
+def restricted_growth_colorings(length: int, color_count: int):
+    """Canonical edge colorings: one representative per color-permutation class.
+
+    Position t may use colors 0..min(1 + max color so far, color_count - 1);
+    yielded in lexicographic order.
+    """
+    if length == 0:
+        yield ()
+        return
+    out = [0] * length
+
+    def rec(t: int, top: int):
+        if t == length:
+            yield tuple(out)
+            return
+        limit = min(top + 1, color_count - 1)
+        for c in range(limit + 1):
+            out[t] = c
+            yield from rec(t + 1, top if c <= top else c)
+
+    yield from rec(0, -1)
+
+
+def first_feasible_coloring(g: Graph, pairs, strong: bool, colorings):
+    """First color tuple (aligned with g.edge_order) under which every pair has
+    a rainbow path (strong: a rainbow shortest path), else None.
+
+    Each pair's candidate paths come from brute_simple_paths once, as edge
+    positions, and every coloring is tested against them directly.
+    """
+    dist = floyd_warshall(g)
+    position = {e: i for i, e in enumerate(sorted(g.edges))}
+    candidates = []
+    for u, v in pairs:
+        seqs = brute_simple_paths(g, u, v, g.vertex_count - 1)
+        if strong:
+            seqs = [seq for seq in seqs if len(seq) - 1 == dist[u][v]]
+        candidates.append([[position[tuple(sorted(e))] for e in zip(seq, seq[1:])] for seq in seqs])
+    for colors in colorings:
+        if all(
+            any(len({colors[i] for i in path}) == len(path) for path in paths) for paths in candidates
+        ):
+            return tuple(colors)
+    return None

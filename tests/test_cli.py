@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -203,6 +204,9 @@ GOOD = '{"n": 2, "edges": [[0, 1]], "pairs": [[0, 1]]}'
         (["verify", "--check", "witness"], '{"order": 2, "n": 2, "edges": [[0, 1]], "pairs": [], '
                                            '"base_vertices": 7}'),
         (["verify", "--check", "witness", "--k", "0"], GOOD),
+        (["verify", "--check", "nonpair-distances"], '{"order": 2, "n": 2, "edges": [[0, 1]], "pairs": [], '
+                                                     '"base_vertices": [0, 5]}'),
+        (["verify", "--n-max", "-1"], GOOD),
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, text):
@@ -211,3 +215,14 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, tex
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_budget_bounds_the_path_table(tmp_path, capsys):
+    # K12 has over 6 million simple 0-1 paths of length <= 10; the budget must stop
+    # their enumeration long before the table is built
+    k12 = write(tmp_path, "k12.txt", emit_edge_list(new_graph(12, [(i, j) for i in range(12) for j in range(i)])))
+    start = time.perf_counter()
+    assert main(["solve", "--problem", "rc", "--k", "10", "--budget", "1000", "--input", k12]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: exceeded budget of 1000 path-table entries and search nodes\n"

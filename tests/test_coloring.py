@@ -20,12 +20,20 @@ from rainbowcon import (
     lift_vertex_coloring,
     make_pairs,
     new_graph,
-    restricted_growth_colorings,
     star_reduction,
+    subset_rc_leq,
+    subset_src_leq,
 )
-from rainbowcon.coloring import subset_rc_checker, subset_src_checker
 
-from oracles import all_graphs, brute_geodesic_rainbow_exists, brute_rainbow_exists, floyd_warshall
+from oracles import (
+    all_graphs,
+    brute_geodesic_rainbow_exists,
+    brute_rainbow_exists,
+    first_feasible_coloring,
+    floyd_warshall,
+    raw_colorings,
+    restricted_growth_colorings,
+)
 
 C4 = new_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K4 = new_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -150,16 +158,29 @@ def test_geodesic_existence_matches_brute_force_random(c):
             assert exists_geodesic_rainbow_path(c, u, v) == brute_geodesic_rainbow_exists(c, u, v)
 
 
+@st.composite
+def connected_pair_instances(draw, max_n=6, max_edges=8):
+    n = draw(st.integers(2, max_n))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(slots), unique=True, min_size=1, max_size=max_edges))
+    g = new_graph(n, edges)
+    dist = floyd_warshall(g)
+    connected = [(u, v) for u, v in slots if dist[u][v] != float("inf")]
+    pairs = make_pairs(draw(st.lists(st.sampled_from(connected), unique=True)), n)
+    return g, pairs, draw(st.integers(1, 3))
+
+
 @settings(max_examples=120, deadline=None)
-@given(colored_graphs(max_n=6))
-def test_search_checkers_match_brute_force_on_connected_pairs(c):
-    dist = floyd_warshall(c.host)
-    n = c.host.vertex_count
-    pairs = make_pairs([(u, v) for u in range(n) for v in range(u + 1, n) if dist[u][v] != float("inf")], n)
-    rc = all(brute_rainbow_exists(c, u, v) for u, v in pairs)
-    src = all(brute_geodesic_rainbow_exists(c, u, v) for u, v in pairs)
-    assert subset_rc_checker(c.host, pairs, c.color_count)(c.colors) == rc
-    assert subset_src_checker(c.host, pairs, c.color_count)(c.colors) == src
+@given(connected_pair_instances())
+def test_subset_solvers_match_raw_exhaustion(instance):
+    g, pairs, k = instance
+    for solver, strong in ((subset_rc_leq, False), (subset_src_leq, True)):
+        result = solver(g, pairs, k)
+        raw = first_feasible_coloring(g, pairs, strong, raw_colorings(g.edge_count, k))
+        assert result.feasible == (raw is not None)
+        if result.feasible:
+            first = first_feasible_coloring(g, pairs, strong, restricted_growth_colorings(g.edge_count, k))
+            assert result.witness.colors == first
 
 
 def test_predicate_implications_exhaustively():

@@ -17,14 +17,13 @@ from rainbowcon import (
     make_pairs,
     new_graph,
     rc_exact,
-    restricted_growth_colorings,
     src_exact,
     subset_rc_leq,
     subset_src_leq,
     vertex_coloring_leq,
 )
 
-from oracles import connected_graph_representatives, edge_slots, raw_colorings
+from oracles import connected_graph_representatives, edge_slots, raw_colorings, restricted_growth_colorings
 
 K3 = new_graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = new_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
