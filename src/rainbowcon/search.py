@@ -88,11 +88,11 @@ def _charge(budget: int | None, used: int) -> None:
 
 
 def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, paths_of) -> SolveResult:
-    """Color the edges in edge order with restricted growth (one coloring per
-    class of color permutations, which keep the verdict), tracking each pair's
-    admissible paths as listed by paths_of(u, v, limit). A color on an edge
-    kills the live paths through it that already hold that color; a pair left
-    with none cuts the subtree. Nodes are colors tried on an edge.
+    """Color the edges in edge order with restricted growth (one coloring per class of color
+    permutations, which keep the verdict), tracking the admissible paths paths_of(u, v, limit)
+    of each pair that is not an edge (an edge is always a rainbow geodesic). A color on an edge
+    kills the live paths through it that already hold that color; a pair left with none cuts
+    the subtree. Nodes are colors tried on an edge.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -101,7 +101,7 @@ def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, paths_o
     m = g.edge_count
     through: list[list[int]] = [[] for _ in range(m)]  # ids of the paths through each edge
     owner, live = [], []  # the pair of each path; the live paths of each pair
-    for u, v in pairs:
+    for u, v in sorted(set(pairs) - g.edges):  # adjacent pairs constrain no coloring
         paths = paths_of(u, v, None if budget is None else budget - len(owner))
         for path in paths:
             for e in path.edges():

@@ -1,9 +1,8 @@
 import json
-import time
 
 import pytest
 
-from rainbowcon import is_rainbow_connected, make_pairs, new_graph
+from rainbowcon import all_pairs, is_rainbow_connected, make_pairs, new_graph, simple_paths_up_to, subset_rc_leq
 from rainbowcon.cli import main
 from rainbowcon.io import dump_gadget, emit_edge_list, emit_instance, load_coloring
 from rainbowcon.reductions import build_order2_gadget, Gadget
@@ -217,12 +216,24 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, tex
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+K12_EDGES = [(i, j) for i in range(12) for j in range(i)]
+
+
 def test_budget_bounds_the_path_table(tmp_path, capsys):
-    # K12 has over 6 million simple 0-1 paths of length <= 10; the budget must stop
-    # their enumeration long before the table is built
-    k12 = write(tmp_path, "k12.txt", emit_edge_list(new_graph(12, [(i, j) for i in range(12) for j in range(i)])))
-    start = time.perf_counter()
-    assert main(["solve", "--problem", "rc", "--k", "10", "--budget", "1000", "--input", k12]) == 2
-    assert time.perf_counter() - start < 0.5
+    # without the edge 0-1, the pair (0, 1) has millions of simple paths of length <= 10;
+    # the budget must stop their enumeration long before the table is built
+    assert len(simple_paths_up_to(new_graph(12, K12_EDGES), 0, 1, 10, limit=1000)) == 1001
+    k12_minus = write(tmp_path, "k12m.txt", emit_edge_list(new_graph(12, [e for e in K12_EDGES if e != (1, 0)])))
+    assert main(["solve", "--problem", "rc", "--k", "10", "--budget", "1000", "--input", k12_minus]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: exceeded budget of 1000 path-table entries and search nodes\n"
+
+
+def test_adjacent_pairs_need_no_path_table(tmp_path, capsys):
+    # every pair of K12 is an edge, so any coloring is feasible: one node per edge
+    k12 = new_graph(12, K12_EDGES)
+    result = subset_rc_leq(k12, all_pairs(12), 10, budget=k12.edge_count)
+    assert result.feasible and result.nodes_explored == k12.edge_count
+    assert main(["solve", "--problem", "rc", "--k", "10", "--budget", "1000",
+                 "--input", write(tmp_path, "k12.txt", emit_edge_list(k12))]) == 0
+    assert capsys.readouterr().out.startswith("rc <= 10: feasible\n")
