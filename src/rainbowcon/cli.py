@@ -11,14 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import io as gio
+from .coloring import is_rainbow_connected
 from .errors import NotAStarError, ToolkitError
 from .graph import Graph, PairSet, all_pairs, is_bipartite, make_pairs, new_graph
 from .reductions import (
     StarInstance,
     SubsetInstance,
+    build_gadget,
     combine_colorings,
     gadget_layers,
     rc_reduction,
@@ -150,10 +153,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             raise ToolkitError("rc-gadget needs a 'pairs' list in the instance JSON")
         reduced = rc_reduction(SubsetInstance(graph, pairs, k))
         payload = gio.reduced_instance_json_obj(reduced)
-        layer_tags = gadget_layers(reduced.gadget)
-        tag_counts: dict[str, int] = {}
-        for tag in layer_tags.values():
-            tag_counts[tag] = tag_counts.get(tag, 0) + 1
+        tag_counts = Counter(gadget_layers(reduced.gadget).values())
         layers_text = ", ".join(f"{tag}: {tag_counts[tag]}" for tag in sorted(tag_counts))
         summary = (
             f"reduced instance: {reduced.graph.vertex_count} vertices, "
@@ -191,15 +191,11 @@ def _gadget_for_check(args: argparse.Namespace):
         raise ToolkitError("--k (or a 'k' field) is required to build the gadget")
     if pairs is None:
         pairs = make_pairs([], graph.vertex_count)
-    from .reductions import build_gadget
-
     return build_gadget(graph.vertex_count, pairs, k)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.check == "all":
-        if args.n_max < 0:
-            raise ToolkitError("--n-max must be nonnegative")
         reports = run_battery(n_max=args.n_max, seeds=args.seeds, seed=args.seed)
     else:
         if args.check in ("pair-distances", "nonpair-distances", "witness"):
@@ -233,23 +229,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _demo_line(step: str) -> None:
-    sys.stdout.write(step + "\n")
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
     if args.showcase == "micro":
         single = new_graph(2, [(0, 1)])
         inst = SubsetInstance(single, make_pairs([(0, 1)]), 2)
-        _demo_line("source: the single edge, one required pair, k = 2")
+        print("source: the single edge, one required pair, k = 2")
         report = check_rc_equivalence(inst, full_bruteforce=True)
         reduced = rc_reduction(inst)
-        _demo_line(
+        print(
             f"reduced graph: {reduced.graph.vertex_count} vertices, "
             f"{reduced.graph.edge_count} edges (a 4-cycle)"
         )
-        _demo_line(f"full brute force agrees with the subset solver: {report.passed}")
-        _demo_line("rc(G') = 2")
+        print(f"full brute force agrees with the subset solver: {report.passed}")
+        print("rc(G') = 2")
         return 0
     if args.showcase == "k3":
         source = new_graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -258,41 +250,39 @@ def cmd_demo(args: argparse.Namespace) -> int:
         source = new_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         label = "4-clique"
     k = 3
-    _demo_line(f"source: the {label}, k = {k}")
+    print(f"source: the {label}, k = {k}")
     vc = vertex_coloring_leq(source, k)
-    _demo_line(f"step 1 vertex coloring with {k} colors: {'feasible' if vc.feasible else 'infeasible'}")
+    print(f"step 1 vertex coloring with {k} colors: {'feasible' if vc.feasible else 'infeasible'}")
     star = star_reduction(source, k)
-    _demo_line(
+    print(
         f"step 2 star instance: {star.graph.vertex_count} vertices, {len(star.pairs)} required pairs"
     )
     base_rc = subset_rc_leq(star.graph, star.pairs, k)
     base_src = subset_src_leq(star.graph, star.pairs, k)
-    _demo_line(
+    print(
         f"step 3 star solvers agree with step 1: "
         f"{vc.feasible == base_rc.feasible == base_src.feasible}"
     )
     ext_report = check_src_equivalence(star)
     ext = src_extension(star)
-    _demo_line(
+    print(
         f"step 4 bipartite extension ({ext.graph.vertex_count} vertices): "
         f"checked {'pass' if ext_report.passed else 'fail'}"
     )
     inst = SubsetInstance(star.graph, star.pairs, k)
     reduced = rc_reduction(inst)
-    _demo_line(
+    print(
         f"step 5 gadget instance: {reduced.graph.vertex_count} vertices, "
         f"{reduced.graph.edge_count} edges"
     )
     rc_report = check_rc_equivalence(inst)
     if base_rc.feasible:
         combined = combine_colorings(reduced, base_rc.witness, witness_coloring(reduced.gadget))
-        from .coloring import is_rainbow_connected
-
         assert rc_report.passed and is_rainbow_connected(combined)
-        _demo_line(f"rc(G') <= {k} certified by witness")
+        print(f"rc(G') <= {k} certified by witness")
     else:
         assert rc_report.passed
-        _demo_line(f"rc(G') > {k} certified (containment + base exhaustion)")
+        print(f"rc(G') > {k} certified (containment + base exhaustion)")
     return 0
 
 

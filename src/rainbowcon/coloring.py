@@ -80,8 +80,9 @@ def _color_neighbor_masks(g: Graph, colors: tuple[int, ...], color_count: int) -
     return masks
 
 
-def _rainbow_reach(masks: list[list[int]], color_count: int, source: int, stop_mask: int | None = None) -> int:
-    """Bitmask of vertices reachable from source along some rainbow path.
+def _rainbow_reach(masks: list[list[int]], color_count: int, source: int, stop_mask: int) -> int:
+    """Bitmask of vertices reachable from source along some rainbow path; the
+    search stops as soon as every vertex of stop_mask is reached.
 
     Level d of the search holds, per used-color set, the vertices reachable
     by a rainbow walk using exactly those d colors; shortcutting a repeated
@@ -89,31 +90,37 @@ def _rainbow_reach(masks: list[list[int]], color_count: int, source: int, stop_m
     walk and by path coincide.
     """
     reached = 1 << source
+    missing = stop_mask & ~reached
     frontier: dict[int, int] = {0: reached}
+    by_bit = [(1 << col, masks[col]) for col in range(color_count)]
     for _ in range(color_count):
         nxt: dict[int, int] = {}
         for used, mask in frontier.items():
-            for col in range(color_count):
-                bit = 1 << col
+            vertices = []  # split once per state, not once per free color
+            while mask:
+                low = mask & -mask
+                vertices.append(low.bit_length() - 1)
+                mask ^= low
+            for bit, by_color in by_bit:
                 if used & bit:
                     continue
-                by_color = masks[col]
                 out = 0
-                mm = mask
-                while mm:
-                    low = mm & -mm
-                    out |= by_color[low.bit_length() - 1]
-                    mm ^= low
+                for v in vertices:
+                    out |= by_color[v]
                 if out:
+                    reached |= out
                     key = used | bit
-                    nxt[key] = nxt.get(key, 0) | out
+                    if key in nxt:
+                        nxt[key] |= out
+                    else:
+                        nxt[key] = out
+                    if missing & out:
+                        missing &= ~out
+                        if not missing:
+                            return reached
         if not nxt:
             break
         frontier = nxt
-        for mask in nxt.values():
-            reached |= mask
-        if stop_mask is not None and stop_mask & ~reached == 0:
-            break
     return reached
 
 
@@ -129,13 +136,13 @@ def exists_rainbow_path(c: EdgeColoring, u: int, v: int) -> bool:
 
 
 def _require_pair_connected(g: Graph, u: int, v: int) -> None:
-    if distances_from(g, u)[v] == UNREACHABLE:
+    if g.distances(u)[v] == UNREACHABLE:
         raise DisconnectedError(f"no path between {u} and {v}")
 
 
 def _geodesic_dag(g: Graph, source: int) -> list[tuple[int, int, int]]:
     """Arcs (v, w, edge index) of the shortest-path DAG from source, by distance of v."""
-    dist = distances_from(g, source)
+    dist = distances_from(g, source)  # one scan visits each source once, so the row is not kept
     index = g.edge_index
     order = sorted((d, v) for v, d in enumerate(dist) if d != UNREACHABLE)
     return [

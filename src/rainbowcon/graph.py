@@ -56,6 +56,17 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return canonical_pair(u, v) in self.edges
 
+    @cached_property
+    def _distance_rows(self) -> dict[int, list[int | float]]:
+        return {}
+
+    def distances(self, source: int) -> list[int | float]:
+        """distances_from(self, source) as a fresh list; each source's BFS runs once per graph."""
+        row = self._distance_rows.get(source)
+        if row is None:
+            row = self._distance_rows[source] = distances_from(self, source)
+        return list(row)
+
 
 def _check_vertex(v: int, vertex_count: int) -> None:
     if not 0 <= v < vertex_count:
@@ -71,17 +82,18 @@ def new_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise ValueError("vertex_count must be nonnegative")
     canon: set[tuple[int, int]] = set()
     for u, v in edges:
-        _check_vertex(u, vertex_count)
-        _check_vertex(v, vertex_count)
-        if u == v:
+        if u == v or not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            _check_vertex(u, vertex_count)
+            _check_vertex(v, vertex_count)
             raise SelfLoopError(f"self-loop at vertex {u}")
-        canon.add(canonical_pair(u, v))
-    neighbor_sets: list[set[int]] = [set() for _ in range(vertex_count)]
+        canon.add((u, v) if u < v else (v, u))
+    neighbors: list[list[int]] = [[] for _ in range(vertex_count)]
     for u, v in canon:
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
-    adjacency = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    return Graph(vertex_count, frozenset(canon), adjacency)
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    for row in neighbors:
+        row.sort()
+    return Graph(vertex_count, frozenset(canon), tuple(map(tuple, neighbors)))
 
 
 @dataclass(frozen=True)
@@ -155,12 +167,12 @@ def distances_from(g: Graph, source: int) -> list[int | float]:
     _check_vertex(source, g.vertex_count)
     dist: list[int | float] = [UNREACHABLE] * g.vertex_count
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
+    queue = [source]
+    for v in queue:  # the list grows while it is walked, so it serves as the FIFO queue
+        d = dist[v] + 1
         for w in g.adjacency[v]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dist[v] + 1
+            if dist[w] is UNREACHABLE:
+                dist[w] = d
                 queue.append(w)
     return dist
 
@@ -170,7 +182,7 @@ def diameter(g: Graph) -> int | float:
     if g.vertex_count <= 1:
         return 0
     worst: int | float = 0
-    for source in range(g.vertex_count):
+    for source in range(g.vertex_count):  # rows not kept: on a graph of any size they would hold n^2 entries
         for d in distances_from(g, source):
             if d is UNREACHABLE:
                 return UNREACHABLE
@@ -184,7 +196,7 @@ def is_connected(g: Graph, loud: bool = False) -> bool:
     graph raises DisconnectedError naming the first unreachable vertex instead."""
     if g.vertex_count <= 1:
         return True
-    dist = distances_from(g, 0)
+    dist = g.distances(0)
     if UNREACHABLE not in dist:
         return True
     if loud:
@@ -225,7 +237,7 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int, limit: int | None
         raise ValueError("endpoints must differ")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    dist_to_target = distances_from(g, v)
+    dist_to_target = g.distances(v)
     out: list[Path] = []
     on_path = [False] * g.vertex_count
     on_path[u] = True
@@ -259,10 +271,10 @@ def geodesics(g: Graph, u: int, v: int, limit: int | None = None) -> list[Path]:
     _check_vertex(v, g.vertex_count)
     if u == v:
         raise ValueError("endpoints must differ")
-    dist_u = distances_from(g, u)
+    dist_u = g.distances(u)
     if dist_u[v] is UNREACHABLE:
         raise DisconnectedError(f"no path between {u} and {v}")
-    dist_v = distances_from(g, v)
+    dist_v = g.distances(v)
     total = dist_u[v]
     out: list[Path] = []
     stack = [u]

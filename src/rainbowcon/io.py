@@ -23,6 +23,13 @@ def _decode(text: str | bytes) -> str:
     return text
 
 
+def _load_json(text: str | bytes) -> object:
+    try:
+        return json.loads(_decode(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+
+
 def _int_token(token: str, line: int, column: int) -> int:
     try:
         return int(token)
@@ -108,11 +115,7 @@ def parse_instance(text: str | bytes, fmt: str = "auto") -> tuple[Graph, PairSet
         return parse_edge_list(body), None, None
     if fmt != "json":
         raise ValueError(f"unknown format {fmt!r}")
-    try:
-        obj = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    return _instance_from_json_obj(obj)
+    return _instance_from_json_obj(_load_json(body))
 
 
 def instance_json_obj(g: Graph, pairs: PairSet | None = None, k: int | None = None) -> dict:
@@ -142,11 +145,7 @@ def to_dot(g: Graph, highlights: tuple[int, ...] | list[int] = ()) -> str:
 
 
 def load_coloring(text: str | bytes, host: Graph) -> EdgeColoring:
-    try:
-        obj = json.loads(_decode(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    return load_coloring_json(obj, host)
+    return load_coloring_json(_load_json(text), host)
 
 
 def dump_coloring(c: EdgeColoring) -> str:
@@ -199,11 +198,7 @@ def dump_gadget(g: Gadget) -> str:
 
 
 def load_gadget(text: str | bytes) -> Gadget:
-    try:
-        obj = json.loads(_decode(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    return gadget_from_json_obj(obj)
+    return gadget_from_json_obj(_load_json(text))
 
 
 def reduced_instance_json_obj(r: ReducedInstance) -> dict:

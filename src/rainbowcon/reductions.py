@@ -427,39 +427,39 @@ def _twin_tags(rx: tuple, ry: tuple) -> bool:
     return ty == tx + "_twin" and rx[1:] == ry[1:]
 
 
-def _order2_colors(g: Gadget) -> dict[tuple[int, int], int]:
-    colors: dict[tuple[int, int], int] = {}
+def _order2_colors(g: Gadget) -> list[int]:
+    colors: list[int] = []
     for u, v in g.graph.edge_order:
         ru, rv = g.roles[u], g.roles[v]
         if ru[0] != "base" and rv[0] != "base":
-            colors[(u, v)] = 0
+            colors.append(0)
             continue
         rb, ro = (ru, rv) if ru[0] == "base" else (rv, ru)
         if ro[0] == "anchor":
-            colors[(u, v)] = 1
+            colors.append(1)
         else:  # bridge (i, j) with i < j: near side 0, far side 1
-            colors[(u, v)] = 0 if rb[1] == ro[1] else 1
+            colors.append(0 if rb[1] == ro[1] else 1)
     return colors
 
 
-def _order3_colors(g: Gadget) -> dict[tuple[int, int], int]:
-    colors: dict[tuple[int, int], int] = {}
+def _order3_colors(g: Gadget) -> list[int]:
+    colors: list[int] = []
     for u, v in g.graph.edge_order:
         ru, rv = g.roles[u], g.roles[v]
         if ru[0] == "base" or rv[0] == "base":
             ro = rv if ru[0] == "base" else ru
             if ro[0] == "anchor":
-                colors[(u, v)] = 2
+                colors.append(2)
             elif ro[0] == "bridge_left":
-                colors[(u, v)] = 0
+                colors.append(0)
             else:
-                colors[(u, v)] = 1
+                colors.append(1)
         elif ru[0] == "bridge_left" and rv[0] == "bridge_right":
-            colors[(u, v)] = 2
+            colors.append(2)
         elif rv[0] == "bridge_left" and ru[0] == "bridge_right":
-            colors[(u, v)] = 2
+            colors.append(2)
         else:  # complete join between the layer and its twin
-            colors[(u, v)] = 0 if _twin_tags(ru, rv) else 1
+            colors.append(0 if _twin_tags(ru, rv) else 1)
     return colors
 
 
@@ -483,26 +483,33 @@ def witness_coloring(g: Gadget) -> EdgeColoring:
         raise MissingLayerTagsError("recursive gadget lacks its construction trace")
     inner_coloring = witness_coloring(g.inner)
     inner_base = set(g.inner.base_vertices)
-    colors: dict[tuple[int, int], int] = {}
-    for (u, v), inherited in zip(g.inner.graph.edge_order, inner_coloring.colors):
-        if u in inner_base or v in inner_base:
-            b, w = (u, v) if u in inner_base else (v, u)
-            cw = g.carried[w]
+    slot = g.graph.edge_index
+    colors: list[int | None] = [None] * g.graph.edge_count
+    try:  # a corrupted trace names vertices or edges the gadget lacks
+        for (u, v), inherited in zip(g.inner.graph.edge_order, inner_coloring.colors):
+            if u in inner_base or v in inner_base:
+                b, w = (u, v) if u in inner_base else (v, u)
+                cw = g.carried[w]
+                c1, c2, c3 = g.copies[b]
+                colors[slot[canonical_pair(c1, cw)]] = inherited
+                colors[slot[canonical_pair(c2, cw)]] = inherited
+                colors[slot[canonical_pair(c3, cw)]] = k - 2
+            else:
+                colors[slot[canonical_pair(g.carried[u], g.carried[v])]] = inherited
+        for i, b in enumerate(g.inner.base_vertices):
             c1, c2, c3 = g.copies[b]
-            colors[canonical_pair(c1, cw)] = inherited
-            colors[canonical_pair(c2, cw)] = inherited
-            colors[canonical_pair(c3, cw)] = k - 2
-        else:
-            colors[canonical_pair(g.carried[u], g.carried[v])] = inherited
-    for i, b in enumerate(g.inner.base_vertices):
-        c1, c2, c3 = g.copies[b]
-        colors[canonical_pair(c1, c2)] = k - 1
-        colors[canonical_pair(c1, c3)] = k - 1
-        colors[canonical_pair(c2, c3)] = k - 1
-        nb = g.base_vertices[i]
-        colors[canonical_pair(c1, nb)] = k - 2
-        colors[canonical_pair(c2, nb)] = k - 1
-        colors[canonical_pair(c3, nb)] = k - 1
+            colors[slot[canonical_pair(c1, c2)]] = k - 1
+            colors[slot[canonical_pair(c1, c3)]] = k - 1
+            colors[slot[canonical_pair(c2, c3)]] = k - 1
+            nb = g.base_vertices[i]
+            colors[slot[canonical_pair(c1, nb)]] = k - 2
+            colors[slot[canonical_pair(c2, nb)]] = k - 1
+            colors[slot[canonical_pair(c3, nb)]] = k - 1
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise MissingLayerTagsError(f"construction trace does not match the gadget: {exc!r}") from None
+    if None in colors:
+        missing = g.graph.edge_order[colors.index(None)]
+        raise MissingLayerTagsError(f"construction trace leaves edge {missing} uncolored")
     return edge_coloring(g.graph, k, colors)
 
 
@@ -564,7 +571,5 @@ def combine_colorings(r: ReducedInstance, base: EdgeColoring, gadget: EdgeColori
         raise DomainMismatchError("gadget coloring must cover exactly the gadget edges")
     if base.color_count > k or gadget.color_count > k:
         raise DomainMismatchError(f"colorings must use at most {k} color indices")
-    colors: dict[tuple[int, int], int] = {}
-    for e in r.graph.edge_order:
-        colors[e] = base.color_of(*e) if e in r.base_edges else gadget.color_of(*e)
+    colors = [base.color_of(*e) if e in r.base_edges else gadget.color_of(*e) for e in r.graph.edge_order]
     return edge_coloring(r.graph, k, colors)

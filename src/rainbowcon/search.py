@@ -12,9 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring
-from .errors import BudgetExceededError, DisconnectedError, DisconnectedPairError
-from .graph import UNREACHABLE, Graph, PairSet, all_pairs, diameter, distances_from, geodesics
+from .errors import BudgetExceededError, DisconnectedError, DisconnectedPairError, ToolkitError
+from .graph import UNREACHABLE, Graph, PairSet, all_pairs, diameter, geodesics
 from .graph import is_connected, simple_paths_up_to
+
+
+MAX_SEARCH_DEPTH = 900  # the searches recurse once per edge or vertex; Python allows 1,000 frames
+
+
+def _check_depth(size: int, what: str) -> None:
+    if size > MAX_SEARCH_DEPTH:
+        raise ToolkitError(f"search over {size} {what} exceeds the depth limit of {MAX_SEARCH_DEPTH} {what}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,7 @@ def vertex_coloring_leq(g: Graph, k: int) -> SolveResult:
     """
     if k < 1:
         raise ValueError("k must be positive")
+    _check_depth(g.vertex_count, "vertices")
     n = g.vertex_count
     colors = [0] * n
     nodes = 0
@@ -70,11 +79,8 @@ def vertex_coloring_leq(g: Graph, k: int) -> SolveResult:
 
 def _precheck_pairs(g: Graph, pairs: PairSet, k: int) -> bool:
     """Raise on disconnected pairs; False if a pair is farther apart than a rainbow path reaches (k)."""
-    cache: dict[int, list[int | float]] = {}
     for u, v in pairs:
-        if u not in cache:
-            cache[u] = distances_from(g, u)
-        d = cache[u][v]
+        d = g.distances(u)[v]
         if d == UNREACHABLE:
             raise DisconnectedPairError(f"pair ({u}, {v}) is disconnected")
         if d > k:
@@ -96,6 +102,7 @@ def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, paths_o
     """
     if k < 1:
         raise ValueError("k must be positive")
+    _check_depth(g.edge_count, "edges")
     if not _precheck_pairs(g, pairs, k):
         return SolveResult(False, None, 0)
     m = g.edge_count

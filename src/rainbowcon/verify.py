@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .coloring import (
     EdgeColoring,
@@ -20,11 +21,11 @@ from .coloring import (
     is_subset_rainbow_connected,
     is_subset_strong_rainbow_connected,
 )
+from .errors import ToolkitError
 from .graph import (
     UNREACHABLE,
     Graph,
     all_pairs,
-    distances_from,
     geodesics,
     is_bipartite,
     make_pairs,
@@ -102,14 +103,11 @@ class CheckReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _gadget_descriptor(g: Gadget, extra: dict | None = None) -> dict:
-    desc: dict = {"n": g.base_count, "k": g.order, "pairs": g.pairs.as_lists()}
-    if extra:
-        desc.update(extra)
-    return desc
+def _gadget_descriptor(g: Gadget, **more) -> dict:
+    return {"n": g.base_count, "k": g.order, "pairs": g.pairs.as_lists(), **more}
 
 
-def check_pair_distances(g: Gadget, extra: dict | None = None) -> CheckReport:
+def check_pair_distances(g: Gadget) -> CheckReport:
     """Every encoded base pair must sit at distance at least order + 1.
 
     The weaker threshold (distance at least order) is reported alongside,
@@ -121,7 +119,7 @@ def check_pair_distances(g: Gadget, extra: dict | None = None) -> CheckReport:
     worst: int | float | None = None
     bad: dict | None = None
     for u, v in g.pairs:
-        d = distances_from(g.graph, u)[v]
+        d = g.graph.distances(u)[v]
         if worst is None or d < worst:
             worst = d
         if d < strict and bad is None:
@@ -129,24 +127,20 @@ def check_pair_distances(g: Gadget, extra: dict | None = None) -> CheckReport:
             bad = {"pair": [u, v], "distance": d, "path": list(path) if path else None}
     desc = _gadget_descriptor(
         g,
-        {
-            "strict_threshold": strict,
-            "loose_threshold": loose,
-            "min_pair_distance": None if worst is None or worst == UNREACHABLE else worst,
-        },
+        strict_threshold=strict,
+        loose_threshold=loose,
+        min_pair_distance=None if worst is None or worst == UNREACHABLE else worst,
     )
-    if extra:
-        desc.update(extra)
     return CheckReport("pair-distances", desc, bad is None, bad, time.perf_counter() - t0)
 
 
-def check_nonpair_distances(g: Gadget, extra: dict | None = None) -> CheckReport:
+def check_nonpair_distances(g: Gadget) -> CheckReport:
     """Every unconstrained base pair must sit at distance exactly order."""
     t0 = time.perf_counter()
     bad: dict | None = None
     n = g.base_count
     for i in range(n):
-        dist = distances_from(g.graph, g.base_vertices[i])
+        dist = g.graph.distances(g.base_vertices[i])
         for j in range(i + 1, n):
             if (i, j) in g.pairs:
                 continue
@@ -160,11 +154,11 @@ def check_nonpair_distances(g: Gadget, extra: dict | None = None) -> CheckReport
                 break
         if bad:
             break
-    desc = _gadget_descriptor(g, extra)
+    desc = _gadget_descriptor(g)
     return CheckReport("nonpair-distances", desc, bad is None, bad, time.perf_counter() - t0)
 
 
-def check_witness(g: Gadget, coloring: EdgeColoring | None = None, extra: dict | None = None) -> CheckReport:
+def check_witness(g: Gadget, coloring: EdgeColoring | None = None) -> CheckReport:
     """The witness coloring must rainbow-connect every pair outside the
     encoded set while using at most `order` colors.
 
@@ -172,7 +166,7 @@ def check_witness(g: Gadget, coloring: EdgeColoring | None = None, extra: dict |
     colorings; by default the gadget's own witness is derived and checked.
     """
     t0 = time.perf_counter()
-    desc = _gadget_descriptor(g, extra)
+    desc = _gadget_descriptor(g)
     if coloring is None:
         coloring = witness_coloring(g)
     if coloring.color_count > g.order:
@@ -183,7 +177,7 @@ def check_witness(g: Gadget, coloring: EdgeColoring | None = None, extra: dict |
     return CheckReport("witness", desc, bad is None, bad, time.perf_counter() - t0)
 
 
-def check_path_containment(r: ReducedInstance, extra: dict | None = None) -> CheckReport:
+def check_path_containment(r: ReducedInstance) -> CheckReport:
     """Paths of length <= k between encoded base pairs must stay on base edges."""
     t0 = time.perf_counter()
     bad: dict | None = None
@@ -200,12 +194,10 @@ def check_path_containment(r: ReducedInstance, extra: dict | None = None) -> Che
         "pairs": r.source.pairs.as_lists(),
         "edges": [[u, v] for u, v in r.source.graph.edge_list()],
     }
-    if extra:
-        desc.update(extra)
     return CheckReport("containment", desc, bad is None, bad, time.perf_counter() - t0)
 
 
-def check_vertex_coloring_equivalence(g: Graph, k: int, extra: dict | None = None) -> CheckReport:
+def check_vertex_coloring_equivalence(g: Graph, k: int) -> CheckReport:
     """Vertex k-colorability must agree with both star-instance solvers."""
     t0 = time.perf_counter()
     star = star_reduction(g, k)
@@ -215,12 +207,19 @@ def check_vertex_coloring_equivalence(g: Graph, k: int, extra: dict | None = Non
     passed = a == b == c
     bad = None if passed else {"vertex_coloring": a, "subset_rc": b, "subset_src": c}
     desc = {"n": g.vertex_count, "k": k, "edges": [[u, v] for u, v in g.edge_list()]}
-    if extra:
-        desc.update(extra)
     return CheckReport("vc-equivalence", desc, passed, bad, time.perf_counter() - t0)
 
 
-def check_src_equivalence(inst: StarInstance, extra: dict | None = None) -> CheckReport:
+def _exhaustion_counterexample(graph: Graph, pairs, k: int, connects) -> dict | None:
+    """Raw k^m exhaustion of graph's edge colorings, kept independent of the search: the
+    first coloring (in itertools.product order) with connects(coloring, pairs), else None."""
+    for colors in itertools.product(range(k), repeat=graph.edge_count):
+        if connects(EdgeColoring(graph, k, colors), pairs):
+            return {"reason": "exhaustion found a feasible base coloring", "colors": list(colors)}
+    return None
+
+
+def check_src_equivalence(inst: StarInstance) -> CheckReport:
     """Feasible star instances must extend to a fully strong-rainbow-connected
     graph; infeasible ones must be certified impossible on the extension.
 
@@ -243,41 +242,28 @@ def check_src_equivalence(inst: StarInstance, extra: dict | None = None) -> Chec
         "feasible": base.feasible,
         "too_few_colors": inst.k < 3,
     }
-    if extra:
-        desc.update(extra)
-    bipartite_ok, _ = is_bipartite(ext.graph)
-    if not bipartite_ok:
-        return CheckReport(
-            "src-equivalence", desc, False, {"reason": "extension not bipartite"}, time.perf_counter() - t0
-        )
-    if base.feasible:
-        if inst.k < 3:
-            # nothing further checkable: the explicit extension needs 3 colors
-            return CheckReport("src-equivalence", desc, True, None, time.perf_counter() - t0)
-        assert isinstance(base.witness, EdgeColoring)
-        extended = src_witness_coloring(ext, base.witness)
-        pair = first_non_geodesic_rainbow_pair(extended)
-        bad = None if pair is None else {"pair": list(pair)}
-        return CheckReport("src-equivalence", desc, bad is None, bad, time.perf_counter() - t0)
-    center = inst.center
-    for u, v in inst.pairs:
-        unique = geodesics(ext.graph, u, v)
-        if [p.vertices for p in unique] != [(u, center, v)]:
-            bad = {"reason": "pair geodesic not unique", "pair": [u, v]}
-            return CheckReport("src-equivalence", desc, False, bad, time.perf_counter() - t0)
-    for colors in itertools.product(range(inst.k), repeat=inst.leaf_count):
-        candidate = EdgeColoring(inst.graph, inst.k, colors)
-        if is_subset_strong_rainbow_connected(candidate, inst.pairs):
-            bad = {"reason": "exhaustion found a feasible base coloring", "colors": list(colors)}
-            return CheckReport("src-equivalence", desc, False, bad, time.perf_counter() - t0)
-    return CheckReport("src-equivalence", desc, True, None, time.perf_counter() - t0)
+    bad: dict | None = None
+    if not is_bipartite(ext.graph)[0]:
+        bad = {"reason": "extension not bipartite"}
+    elif base.feasible:
+        if inst.k >= 3:  # below that nothing further is checkable: the explicit extension needs 3 colors
+            assert isinstance(base.witness, EdgeColoring)
+            pair = first_non_geodesic_rainbow_pair(src_witness_coloring(ext, base.witness))
+            bad = None if pair is None else {"pair": list(pair)}
+    else:
+        for u, v in inst.pairs:
+            if [p.vertices for p in geodesics(ext.graph, u, v)] != [(u, inst.center, v)]:
+                bad = {"reason": "pair geodesic not unique", "pair": [u, v]}
+                break
+        else:
+            bad = _exhaustion_counterexample(inst.graph, inst.pairs, inst.k, is_subset_strong_rainbow_connected)
+    return CheckReport("src-equivalence", desc, bad is None, bad, time.perf_counter() - t0)
 
 
 def check_rc_equivalence(
     inst: SubsetInstance,
     full_bruteforce: bool = False,
     bruteforce_budget: int | None = 1_000_000,
-    extra: dict | None = None,
 ) -> CheckReport:
     """The reduced instance must be k-rainbow-colorable iff the source is.
 
@@ -301,8 +287,6 @@ def check_rc_equivalence(
         "feasible": base.feasible,
         "full_bruteforce": full_bruteforce,
     }
-    if extra:
-        desc.update(extra)
     bad: dict | None = None
     if base.feasible:
         assert isinstance(base.witness, EdgeColoring)
@@ -315,15 +299,7 @@ def check_rc_equivalence(
         if not containment.passed:
             bad = {"reason": "containment failed", "detail": containment.counterexample}
         else:
-            m = inst.graph.edge_count
-            for colors in itertools.product(range(inst.k), repeat=m):
-                candidate = EdgeColoring(inst.graph, inst.k, colors)
-                if is_subset_rainbow_connected(candidate, inst.pairs):
-                    bad = {
-                        "reason": "exhaustion found a feasible base coloring",
-                        "colors": list(colors),
-                    }
-                    break
+            bad = _exhaustion_counterexample(inst.graph, inst.pairs, inst.k, is_subset_rainbow_connected)
     if bad is None and full_bruteforce:
         direct = subset_rc_leq(r.graph, all_pairs(r.graph.vertex_count), inst.k, budget=bruteforce_budget)
         if direct.feasible != base.feasible:
@@ -363,45 +339,52 @@ def random_instance(config: FuzzConfig, seed: int, index: int) -> SubsetInstance
     return SubsetInstance(new_graph(n, edges), make_pairs(pairs, n), k)
 
 
-def fuzz(config: FuzzConfig, seed: int = 0) -> list[CheckReport]:
-    """Run the structural checks over a reproducible random-instance stream."""
+def _gadget_checks(g: Gadget, memo: dict) -> list[CheckReport]:
+    """The three gadget checks, run once per (n, pairs, order) in memo: build_gadget is a
+    pure function of that key, so a repeated key reuses the verdicts."""
+    key = (g.base_count, g.pairs, g.order)
+    if key not in memo:
+        memo[key] = [check_pair_distances(g), check_nonpair_distances(g), check_witness(g)]
+    return memo[key]
+
+
+def _fuzz(config: FuzzConfig, seed: int, memo: dict) -> list[CheckReport]:
     reports: list[CheckReport] = []
     for index in range(config.seeds):
-        inst = random_instance(config, seed, index)
-        r = rc_reduction(inst)
-        tag = {"seed": seed, "index": index}
-        reports.append(check_pair_distances(r.gadget, extra=tag))
-        reports.append(check_nonpair_distances(r.gadget, extra=tag))
-        reports.append(check_witness(r.gadget, extra=tag))
-        reports.append(check_path_containment(r, extra=tag))
+        r = rc_reduction(random_instance(config, seed, index))
+        for report in _gadget_checks(r.gadget, memo) + [check_path_containment(r)]:
+            reports.append(replace(report, instance={**report.instance, "seed": seed, "index": index}))
     return reports
 
 
-def _edge_subsets(n: int) -> list[list[tuple[int, int]]]:
+def fuzz(config: FuzzConfig, seed: int = 0) -> list[CheckReport]:
+    """Run the structural checks over a reproducible random-instance stream."""
+    return _fuzz(config, seed, {})
+
+
+def _edge_subsets(n: int) -> Iterator[list[tuple[int, int]]]:
+    """Every subset of the vertex pairs of n vertices, by bitmask over the pairs in order."""
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
     for mask in range(1 << len(slots)):
-        out.append([slots[t] for t in range(len(slots)) if mask >> t & 1])
-    return out
+        yield [slots[t] for t in range(len(slots)) if mask >> t & 1]
 
 
 def run_battery(n_max: int = 4, seeds: int = 200, seed: int = 0) -> list[CheckReport]:
     """The full deterministic check battery: equivalence sweeps, structural
-    sweeps, the showcase chains, then the seeded fuzz stream."""
+    sweeps, the showcase chains, then the seeded fuzz stream. Each distinct
+    gadget is checked once per battery; repeats reuse its verdicts."""
+    if not 0 <= n_max <= 6:  # 2^15 = 32,768 graphs on 6 vertices; 7 would be 2^21
+        raise ToolkitError(f"n_max must be in 0..6, got {n_max}")
     reports: list[CheckReport] = []
+    memo: dict = {}
     for edges in _edge_subsets(n_max):
         g = new_graph(n_max, edges)
         for k in (2, 3):
             reports.append(check_vertex_coloring_equivalence(g, k))
     for n in range(2, min(n_max, 3) + 1):
-        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for mask in range(1 << len(slots)):
-            pairs = make_pairs([slots[t] for t in range(len(slots)) if mask >> t & 1], n)
+        for subset in _edge_subsets(n):
             for k in (2, 3, 4, 5):
-                gadget = build_gadget(n, pairs, k)
-                reports.append(check_pair_distances(gadget))
-                reports.append(check_nonpair_distances(gadget))
-                reports.append(check_witness(gadget))
+                reports.extend(_gadget_checks(build_gadget(n, make_pairs(subset, n), k), memo))
     single_edge = new_graph(2, [(0, 1)])
     micro = SubsetInstance(single_edge, make_pairs([(0, 1)]), 2)
     reports.append(check_rc_equivalence(micro, full_bruteforce=True))
@@ -413,7 +396,7 @@ def run_battery(n_max: int = 4, seeds: int = 200, seed: int = 0) -> list[CheckRe
         reports.append(check_src_equivalence(star))
         chain = SubsetInstance(star.graph, star.pairs, 3)
         reports.append(check_rc_equivalence(chain))
-    reports.extend(fuzz(FuzzConfig(seeds=seeds), seed))
+    reports.extend(_fuzz(FuzzConfig(seeds=seeds), seed, memo))
     return reports
 
 

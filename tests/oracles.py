@@ -149,3 +149,19 @@ def first_feasible_coloring(g: Graph, pairs, strong: bool, colorings):
         ):
             return tuple(colors)
     return None
+
+
+def bfs_distances(g: Graph, source: int) -> list[float]:
+    """Plain breadth-first distances from source, INF where unreachable."""
+    dist = [INF] * g.vertex_count
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.adjacency[v]:
+                if dist[w] == INF:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist

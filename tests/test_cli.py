@@ -4,8 +4,8 @@ import pytest
 
 from rainbowcon import all_pairs, is_rainbow_connected, make_pairs, new_graph, simple_paths_up_to, subset_rc_leq
 from rainbowcon.cli import main
-from rainbowcon.io import dump_gadget, emit_edge_list, emit_instance, load_coloring
-from rainbowcon.reductions import build_order2_gadget, Gadget
+from rainbowcon.io import dump_gadget, emit_edge_list, emit_instance, gadget_json_obj, load_coloring
+from rainbowcon.reductions import build_gadget, build_order2_gadget, Gadget
 
 C4 = new_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K4 = new_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -183,6 +183,17 @@ def test_output_flag_writes_file(tmp_path, capsys):
 GOOD = '{"n": 2, "edges": [[0, 1]], "pairs": [[0, 1]]}'
 
 
+def order4_gadget_text(drop_edge: bool) -> str:
+    """An order-4 gadget record with one edge between non-base vertices dropped, or one added."""
+    obj = gadget_json_obj(build_gadget(3, make_pairs([(0, 1)], 3), 4))
+    edges, n = obj["edges"], obj["n"]
+    if drop_edge:
+        edges.remove(next(e for e in edges if min(e) >= 3))
+    else:
+        edges.append(next([u, v] for u in range(3, n) for v in range(u + 1, n) if [u, v] not in edges))
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -206,6 +217,9 @@ GOOD = '{"n": 2, "edges": [[0, 1]], "pairs": [[0, 1]]}'
         (["verify", "--check", "nonpair-distances"], '{"order": 2, "n": 2, "edges": [[0, 1]], "pairs": [], '
                                                      '"base_vertices": [0, 5]}'),
         (["verify", "--n-max", "-1"], GOOD),
+        pytest.param(["verify", "--check", "witness"], order4_gadget_text(drop_edge=False), id="foreign-edge"),
+        pytest.param(["verify", "--check", "witness"], order4_gadget_text(drop_edge=True), id="dropped-edge"),
+        pytest.param(["verify", "--n-max", "7"], GOOD, id="n-max-7"),  # rejected before any work
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, text):
@@ -237,3 +251,10 @@ def test_adjacent_pairs_need_no_path_table(tmp_path, capsys):
     assert main(["solve", "--problem", "rc", "--k", "10", "--budget", "1000",
                  "--input", write(tmp_path, "k12.txt", emit_edge_list(k12))]) == 0
     assert capsys.readouterr().out.startswith("rc <= 10: feasible\n")
+
+
+def test_searches_deeper_than_the_stack_allows_exit_2(tmp_path, capsys):
+    k46 = new_graph(46, [(i, j) for i in range(46) for j in range(i)])
+    assert main(["solve", "--problem", "rc", "--k", "1", "--input", write(tmp_path, "k46.txt", emit_edge_list(k46))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: search over 1035 edges exceeds the depth limit of 900 edges\n"

@@ -76,6 +76,18 @@ def test_verify_demo_and_reduce_output_is_pinned(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        ("11", "45415bd7fbbd4f7333784656c1218e902cbead226ac68ba4367e7e9f806fae3a"),
+        ("29", "762aeb4911aa7234f3717a96b24e651f7a5e502a377529d9dd058a8c355d5653"),
+    ],
+)
+def test_verify_battery_output_is_pinned_at_more_seeds(capsys, seed, digest):
+    # other seeds draw other fuzz instances, so other gadgets repeat across the battery
+    assert stdout_digest(capsys, ["verify", "--seed", seed]) == digest
+
+
 def test_solvers_raise_on_disconnected_pairs():
     pairs = make_pairs([(0, 2)], 4)
     for solver in (subset_rc_leq, subset_src_leq):

@@ -19,7 +19,7 @@ from rainbowcon import (
     simple_paths_up_to,
 )
 
-from oracles import brute_simple_paths, floyd_warshall
+from oracles import bfs_distances, brute_simple_paths, floyd_warshall
 
 C4 = new_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 K4 = new_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -72,6 +72,8 @@ def test_distances_examples():
     assert distances_from(P4, 0) == [0, 1, 2, 3]
     with pytest.raises(IndexOutOfRangeError):
         distances_from(C4, 7)
+    with pytest.raises(IndexOutOfRangeError):
+        C4.distances(-1)
 
 
 def test_diameter_examples():
@@ -115,6 +117,18 @@ def test_distances_match_floyd_warshall(g):
         for v in range(g.vertex_count):
             expected = oracle[source][v]
             assert (got[v] == expected) or (got[v] == UNREACHABLE and math.isinf(expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_distance_rows_are_plain_bfs_and_fresh_lists(g, data):
+    sources = data.draw(st.lists(st.integers(0, g.vertex_count - 1), max_size=12))
+    for source in sources:  # repeats hit the graph's stored rows
+        expected = bfs_distances(g, source)
+        row = g.distances(source)
+        assert row == expected and distances_from(g, source) == expected
+        row[:] = [-1] * len(row)
+        assert g.distances(source) == expected
 
 
 @settings(max_examples=100, deadline=None)

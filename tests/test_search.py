@@ -6,6 +6,7 @@ from rainbowcon import (
     BudgetExceededError,
     DisconnectedError,
     DisconnectedPairError,
+    ToolkitError,
     all_pairs,
     diameter,
     edge_coloring,
@@ -194,3 +195,14 @@ def test_feasibility_monotone_in_k(seed, k):
         assert subset_rc_leq(g, pairs, k + 1).feasible
     if subset_src_leq(g, pairs, k).feasible:
         assert subset_src_leq(g, pairs, k + 1).feasible
+
+
+def test_searches_answer_up_to_the_depth_limit():
+    path = new_graph(901, [(i, i + 1) for i in range(900)])  # 900 edges, one frame each
+    result = subset_rc_leq(path, make_pairs(path.edges), 1)
+    assert result.feasible and result.nodes_explored == 900
+    assert vertex_coloring_leq(new_graph(900, [(i, i + 1) for i in range(899)]), 2).feasible
+    with pytest.raises(ToolkitError, match="depth limit of 900 edges"):
+        subset_rc_leq(new_graph(902, [(i, i + 1) for i in range(901)]), make_pairs([]), 1)
+    with pytest.raises(ToolkitError, match="depth limit of 900 vertices"):
+        vertex_coloring_leq(new_graph(901, []), 2)

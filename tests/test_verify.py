@@ -29,7 +29,11 @@ from rainbowcon import (
     star_reduction,
     witness_coloring,
 )
+from rainbowcon import verify as verify_module
 from rainbowcon.graph import Path, check_path
+from rainbowcon.verify import random_instance
+
+from oracles import all_graphs
 
 K3 = new_graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = new_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -194,3 +198,29 @@ def test_battery_small_run_passes():
         "rc-equivalence",
         "src-equivalence",
     } <= names
+
+
+def test_battery_checks_each_distinct_gadget_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(g, *args, **kwargs):
+        calls.append((g.base_count, g.pairs, g.order))
+        return check_witness(g, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "check_witness", counting)
+    config = FuzzConfig(seeds=40)
+    keys = {(n, make_pairs(g.edges, n), k) for n in (2, 3) for g in all_graphs(n) for k in (2, 3, 4, 5)}
+    fuzz_keys = set()
+    for index in range(config.seeds):
+        inst = random_instance(config, 5, index)
+        fuzz_keys.add((inst.graph.vertex_count, inst.pairs, inst.k))
+    assert fuzz_keys - keys and fuzz_keys & keys  # the stream both repeats sweep gadgets and adds new ones
+    keys |= fuzz_keys
+    first = run_battery(n_max=3, seeds=40, seed=5)
+    assert len(calls) == len(set(calls)) == len(keys)
+    assert set(calls) == keys
+    calls.clear()
+    second = run_battery(n_max=3, seeds=40, seed=5)
+    assert len(calls) == len(keys)  # the memo lives and dies with one battery
+    assert [r.json_line() for r in first] == [r.json_line() for r in second]
+
