@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as gio
 from .coloring import is_rainbow_connected
-from .errors import NotAStarError, ToolkitError
+from .errors import ToolkitError
 from .graph import Graph, PairSet, all_pairs, is_bipartite, make_pairs, new_graph
 from .reductions import (
     StarInstance,
@@ -29,7 +29,7 @@ from .reductions import (
     star_reduction,
     witness_coloring,
 )
-from .search import rc_exact, src_exact, subset_rc_leq, subset_src_leq, vertex_coloring_leq
+from .search import check_depth, rc_exact, src_exact, subset_rc_leq, subset_src_leq, vertex_coloring_leq
 from .verify import (
     check_nonpair_distances,
     check_pair_distances,
@@ -83,14 +83,7 @@ def _load_instance(
 
 def _star_from_graph(graph: Graph, pairs: PairSet | None, k: int) -> StarInstance:
     """Interpret a star-shaped graph (leaves 0..n-2, center n-1) as an instance."""
-    n = graph.vertex_count - 1
-    if n < 1:
-        raise NotAStarError("a star instance needs a center and at least one leaf")
-    inst = StarInstance(graph, n, pairs if pairs is not None else make_pairs([], n), k, k < 3)
-    expected = frozenset((i, n) for i in range(n))
-    if graph.edges != expected:
-        raise NotAStarError("expected leaves 0..n-2 all joined to center n-1 and nothing else")
-    return inst
+    return StarInstance(graph, graph.vertex_count - 1, pairs if pairs is not None else make_pairs([]), k)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -109,6 +102,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         witness = "colors: " + " ".join(map(str, result.witness)) + "\n" if result.feasible else ""
     else:
         if problem in ("rc", "src"):
+            check_depth(graph.edge_count, "edges")  # before building all pairs
             pairs = all_pairs(graph.vertex_count)
         elif pairs is None:
             raise ToolkitError("subset problems need a 'pairs' list in the instance JSON")
@@ -141,7 +135,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         payload = gio.instance_json_obj(ext.graph, None, k)
         payload["sides"] = [list(side) for side in ext.sides()]
         payload["matching"] = [[u, v] for u, v in ext.matching]
-        payload["layers"] = {str(v): tag for v, tag in sorted(_extension_layers(ext).items())}
+        payload["layers"] = {str(v): tag for v, tag in sorted(ext.layers().items())}
         summary = (
             f"extension: {ext.graph.vertex_count} vertices, {ext.graph.edge_count} edges, "
             f"layer sizes {len(ext.layer_one)}+{len(ext.twin_layer)}, "
@@ -164,20 +158,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     if args.dot and dot_graph is not None:
         Path(args.dot).write_text(gio.to_dot(dot_graph, dot_highlights), encoding="utf-8")
     return 0
-
-
-def _extension_layers(ext) -> dict[int, str]:
-    tags = {i: "leaf" for i in ext.star.leaves}
-    tags[ext.star.center] = "center"
-    for a in ext.anchors:
-        tags[a] = "anchor"
-    for b in ext.bridges.values():
-        tags[b] = "bridge"
-    for a in ext.anchor_twins:
-        tags[a] = "anchor_twin"
-    for b in ext.bridge_twins.values():
-        tags[b] = "bridge_twin"
-    return tags
 
 
 def _gadget_for_check(args: argparse.Namespace):

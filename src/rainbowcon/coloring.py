@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DisconnectedError, IndexOutOfRangeError, ParseError
+from .errors import DisconnectedError, IndexOutOfRangeError
 from .graph import UNREACHABLE, Graph, PairSet, Path, canonical_pair, check_path, distances_from, is_connected
 
 
@@ -257,32 +257,3 @@ def is_subset_strong_rainbow_connected(c: EdgeColoring, pairs: PairSet) -> bool:
     for u, v in pairs:
         _require_pair_connected(c.host, u, v)
     return first_non_geodesic_rainbow_pair(c, required=pairs) is None
-
-
-def load_coloring_json(obj: dict, host: Graph) -> EdgeColoring:
-    """Decode {"k": int, "colors": [[u, v, c], ...]} against a host graph."""
-    if not isinstance(obj, dict) or "k" not in obj or not isinstance(obj.get("colors"), list):
-        raise ParseError("coloring JSON needs 'k' and a 'colors' list")
-    k = obj["k"]
-    if type(k) is not int or k < 1:
-        raise ParseError("'k' must be a positive integer")
-    assignment: dict[tuple[int, int], int] = {}
-    for entry in obj["colors"]:
-        if not (isinstance(entry, list) and len(entry) == 3 and all(type(x) is int for x in entry)):
-            raise ParseError(f"bad color triple {entry!r}")
-        u, v, col = entry
-        key = canonical_pair(u, v)
-        if key in assignment:
-            raise ParseError(f"edge ({u}, {v}) colored twice")
-        assignment[key] = col
-    try:
-        return edge_coloring(host, k, assignment)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def coloring_json(c: EdgeColoring) -> dict:
-    return {
-        "k": c.color_count,
-        "colors": [[u, v, col] for (u, v), col in zip(c.host.edge_list(), c.colors)],
-    }

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 
-from .coloring import EdgeColoring, coloring_json, load_coloring_json
+from .coloring import EdgeColoring, edge_coloring
 from .errors import ParseError
-from .graph import Graph, PairSet, make_pairs, new_graph
+from .graph import Graph, PairSet, canonical_pair, make_pairs, new_graph
 from .reductions import Gadget, ReducedInstance, gadget_layers
 
 
@@ -28,6 +28,8 @@ def _load_json(text: str | bytes) -> object:
         return json.loads(_decode(text))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError:
+        raise ParseError("JSON nests too deeply") from None
 
 
 def _int_token(token: str, line: int, column: int) -> int:
@@ -145,11 +147,31 @@ def to_dot(g: Graph, highlights: tuple[int, ...] | list[int] = ()) -> str:
 
 
 def load_coloring(text: str | bytes, host: Graph) -> EdgeColoring:
-    return load_coloring_json(_load_json(text), host)
+    """Decode {"k": int, "colors": [[u, v, c], ...]} against a host graph."""
+    obj = _load_json(text)
+    if not isinstance(obj, dict) or "k" not in obj or not isinstance(obj.get("colors"), list):
+        raise ParseError("coloring JSON needs 'k' and a 'colors' list")
+    k = obj["k"]
+    if type(k) is not int or k < 1:
+        raise ParseError("'k' must be a positive integer")
+    assignment: dict[tuple[int, int], int] = {}
+    for entry in obj["colors"]:
+        if not (isinstance(entry, list) and len(entry) == 3 and all(type(x) is int for x in entry)):
+            raise ParseError(f"bad color triple {entry!r}")
+        u, v, col = entry
+        key = canonical_pair(u, v)
+        if key in assignment:
+            raise ParseError(f"edge ({u}, {v}) colored twice")
+        assignment[key] = col
+    try:
+        return edge_coloring(host, k, assignment)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def dump_coloring(c: EdgeColoring) -> str:
-    return json.dumps(coloring_json(c), sort_keys=True) + "\n"
+    colors = [[u, v, col] for (u, v), col in zip(c.host.edge_list(), c.colors)]
+    return json.dumps({"k": c.color_count, "colors": colors}, sort_keys=True) + "\n"
 
 
 def gadget_json_obj(g: Gadget) -> dict:

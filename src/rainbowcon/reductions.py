@@ -64,7 +64,20 @@ class StarInstance:
     leaf_count: int
     pairs: PairSet
     k: int
-    below_hardness_regime: bool
+
+    def __post_init__(self) -> None:
+        n = self.leaf_count
+        if n < 1:
+            raise NotAStarError("a star instance needs a center and at least one leaf")
+        if self.graph.vertex_count != n + 1 or self.graph.edges != frozenset((i, n) for i in range(n)):
+            raise NotAStarError(f"expected leaves 0..{n - 1} all joined to center {n} and nothing else")
+        for u, v in self.pairs:
+            if u >= n or v >= n:
+                raise PairNotLeafPairError(f"pair ({u}, {v}) touches the center")
+
+    @property
+    def below_hardness_regime(self) -> bool:
+        return self.k < 3
 
     @property
     def center(self) -> int:
@@ -88,7 +101,7 @@ def star_reduction(g: Graph, k: int) -> StarInstance:
     n = g.vertex_count
     star = new_graph(n + 1, [(i, n) for i in range(n)])
     pairs = make_pairs(g.edges, n)
-    return StarInstance(star, n, pairs, k, below_hardness_regime=k < 3)
+    return StarInstance(star, n, pairs, k)
 
 
 def lift_vertex_coloring(inst: StarInstance, vc: Sequence[int]) -> EdgeColoring:
@@ -179,6 +192,16 @@ class SrcExtension:
             return "center_link"
         raise DomainMismatchError(f"({u}, {v}) is not an edge of the extension")
 
+    def layers(self) -> dict[int, str]:
+        """Per-vertex display tag: leaf | center | anchor | bridge | anchor_twin | bridge_twin."""
+        tags = dict.fromkeys(self.star.leaves, "leaf")
+        tags[self.star.center] = "center"
+        tags.update(dict.fromkeys(self.anchors, "anchor"))
+        tags.update(dict.fromkeys(self.bridges.values(), "bridge"))
+        tags.update(dict.fromkeys(self.anchor_twins, "anchor_twin"))
+        tags.update(dict.fromkeys(self.bridge_twins.values(), "bridge_twin"))
+        return tags
+
 
 def src_extension(inst: StarInstance) -> SrcExtension:
     """Extend a star instance so that the pair constraints become global.
@@ -189,12 +212,6 @@ def src_extension(inst: StarInstance) -> SrcExtension:
     keeps its unique two-edge path through the center.
     """
     n = inst.leaf_count
-    expected = frozenset(canonical_pair(i, inst.center) for i in range(n))
-    if inst.graph.edges != expected:
-        raise NotAStarError("instance graph is not the expected star")
-    for u, v in inst.pairs:
-        if u >= n or v >= n:
-            raise PairNotLeafPairError(f"pair ({u}, {v}) touches the center")
     nonpairs = _nonpairs(n, inst.pairs)
     z = len(nonpairs)
     layer_size = n + z
@@ -347,51 +364,15 @@ def build_order3_gadget(n: int, pairs: PairSet) -> Gadget:
     return Gadget(graph, 3, tuple(range(n)), pairs, roles)
 
 
-@dataclass(frozen=True, eq=False)
-class SplitBase:
-    """Result of splitting every base vertex into a triangle of copies.
-
-    copies maps each old base vertex to its three copy ids; carried maps
-    every surviving vertex to its id in the new graph. Distances between
-    surviving vertices (and copies of old bases) are preserved exactly.
-    """
-
-    graph: Graph
-    copies: dict[int, tuple[int, int, int]]
-    carried: dict[int, int]
-
-
-def split_base(g: Gadget) -> SplitBase:
-    """Replace each base vertex by a triangle, triplicating incident edges."""
-    base = set(g.base_vertices)
-    copies = {b: (3 * idx, 3 * idx + 1, 3 * idx + 2) for idx, b in enumerate(sorted(base))}
-    offset = 3 * len(base)
-    survivors = sorted(v for v in range(g.graph.vertex_count) if v not in base)
-    carried = {v: offset + idx for idx, v in enumerate(survivors)}
-
-    edges: list[tuple[int, int]] = []
-    for b in sorted(base):
-        c1, c2, c3 = copies[b]
-        edges += [(c1, c2), (c1, c3), (c2, c3)]
-    for u, v in g.graph.edges:
-        if u in base and v in base:
-            raise MissingLayerTagsError("gadget has an edge between two base vertices")
-        if u in base:
-            edges += [(c, carried[v]) for c in copies[u]]
-        elif v in base:
-            edges += [(carried[u], c) for c in copies[v]]
-        else:
-            edges.append((carried[u], carried[v]))
-    graph = new_graph(offset + len(survivors), edges)
-    return SplitBase(graph, copies, carried)
-
-
 def build_gadget(n: int, pairs: PairSet, order: int) -> Gadget:
     """Order-k distance gadget; recursive for k >= 4 via base splitting.
 
     Even orders bottom out at the order-2 gadget, odd at order-3. Each
-    recursion step splits the inner bases into triangles and hangs a fresh
-    base vertex off every triangle, stretching all base distances by two.
+    recursion step splits inner base i into a triangle of copies
+    n+3i..n+3i+2 that triplicate its edges, carries every other inner
+    vertex v to v+3n, and hangs a fresh base i off the triangle,
+    stretching all base distances by two. The inner gadgets built here
+    have no edge between two bases.
     """
     if order < 2:
         raise InvalidOrderError(f"no gadget of order {order}")
@@ -400,23 +381,22 @@ def build_gadget(n: int, pairs: PairSet, order: int) -> Gadget:
     if order == 3:
         return build_order3_gadget(n, pairs)
     inner = build_gadget(n, pairs, order - 2)
-    sp = split_base(inner)
-    shift = n
-    copies = {b: tuple(c + shift for c in cs) for b, cs in sp.copies.items()}
-    carried = {v: w + shift for v, w in sp.carried.items()}
-    edges = [(u + shift, v + shift) for u, v in sp.graph.edges]
-    for i, b in enumerate(inner.base_vertices):
-        for c in copies[b]:
-            edges.append((i, c))
-    graph = new_graph(sp.graph.vertex_count + n, edges)
+    shift = 3 * n
+    copies = {i: (n + 3 * i, n + 3 * i + 1, n + 3 * i + 2) for i in inner.base_vertices}
+    carried = {v: v + shift for v in range(n, inner.graph.vertex_count)}
+    edges: list[tuple[int, int]] = []
+    for i, (c1, c2, c3) in copies.items():
+        edges += [(c1, c2), (c1, c3), (c2, c3), (i, c1), (i, c2), (i, c3)]
+    for u, v in inner.graph.edges:  # u < v, so only u can be an inner base
+        if u < n:
+            edges += [(c, v + shift) for c in copies[u]]
+        else:
+            edges.append((u + shift, v + shift))
+    graph = new_graph(inner.graph.vertex_count + shift, edges)
 
     roles: dict[int, tuple] = {i: ("base", i) for i in range(n)}
-    for b in inner.base_vertices:
-        i = inner.roles[b][1]
-        for t, c in enumerate(copies[b], start=1):
-            roles[c] = ("copy", i, t)
-    for v, w in carried.items():
-        roles[w] = inner.roles[v]
+    roles.update({c: ("copy", i, t) for i, cs in copies.items() for t, c in enumerate(cs, start=1)})
+    roles.update({w: inner.roles[v] for v, w in carried.items()})
     return Gadget(graph, order, tuple(range(n)), pairs, roles, inner, copies, carried)
 
 
@@ -514,16 +494,12 @@ def witness_coloring(g: Gadget) -> EdgeColoring:
 
 
 def gadget_layers(g: Gadget) -> dict[int, str]:
-    """Per-vertex display tag: base / copy1-3 / the inherited inner tag."""
-    if g.order in (2, 3) or g.inner is None:
-        return {v: g.roles[v][0] for v in range(g.graph.vertex_count)}
-    tags: dict[int, str] = {v: "base" for v in g.base_vertices}
-    for b, (c1, c2, c3) in sorted(g.copies.items()):
-        tags[c1], tags[c2], tags[c3] = "copy1", "copy2", "copy3"
-    inner_tags = gadget_layers(g.inner)
-    for v, w in sorted(g.carried.items()):
-        tags[w] = inner_tags[v]
-    return dict(sorted(tags.items()))
+    """Per-vertex display tag: copy1-3 for a copy role, else the role's own tag.
+
+    Every level hands the inner roles on to its carried vertices, so the
+    roles alone give the tags of the whole recursion.
+    """
+    return {v: f"copy{role[2]}" if role[0] == "copy" else role[0] for v, role in sorted(g.roles.items())}
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from .graph import is_connected, simple_paths_up_to
 MAX_SEARCH_DEPTH = 900  # the searches recurse once per edge or vertex; Python allows 1,000 frames
 
 
-def _check_depth(size: int, what: str) -> None:
+def check_depth(size: int, what: str) -> None:
     if size > MAX_SEARCH_DEPTH:
         raise ToolkitError(f"search over {size} {what} exceeds the depth limit of {MAX_SEARCH_DEPTH} {what}")
 
@@ -52,7 +52,7 @@ def vertex_coloring_leq(g: Graph, k: int) -> SolveResult:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    _check_depth(g.vertex_count, "vertices")
+    check_depth(g.vertex_count, "vertices")
     n = g.vertex_count
     colors = [0] * n
     nodes = 0
@@ -102,7 +102,7 @@ def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, paths_o
     """
     if k < 1:
         raise ValueError("k must be positive")
-    _check_depth(g.edge_count, "edges")
+    check_depth(g.edge_count, "edges")
     if not _precheck_pairs(g, pairs, k):
         return SolveResult(False, None, 0)
     m = g.edge_count
@@ -171,6 +171,7 @@ def _exact(g: Graph, solver, budget: int | None) -> OptResult:
         raise ValueError("need at least two vertices")
     if not is_connected(g):
         raise DisconnectedError("graph is disconnected")
+    check_depth(g.edge_count, "edges")  # before the costly set-up below
     pairs = all_pairs(g.vertex_count)
     start = max(int(diameter(g)), 1)
     total = 0

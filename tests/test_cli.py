@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rainbowcon import all_pairs, is_rainbow_connected, make_pairs, new_graph, simple_paths_up_to, subset_rc_leq
+from rainbowcon import cli, search
 from rainbowcon.cli import main
 from rainbowcon.io import dump_gadget, emit_edge_list, emit_instance, gadget_json_obj, load_coloring
 from rainbowcon.reductions import build_gadget, build_order2_gadget, Gadget
@@ -194,6 +195,9 @@ def order4_gadget_text(drop_edge: bool) -> str:
     return json.dumps(obj)
 
 
+DEEP_GADGET = '{"order": 4, "n": 2, "edges": [], "pairs": [], "base_vertices": [0, 1], "inner": ' * 3000 + "null" + "}" * 3000
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -220,6 +224,7 @@ def order4_gadget_text(drop_edge: bool) -> str:
         pytest.param(["verify", "--check", "witness"], order4_gadget_text(drop_edge=False), id="foreign-edge"),
         pytest.param(["verify", "--check", "witness"], order4_gadget_text(drop_edge=True), id="dropped-edge"),
         pytest.param(["verify", "--n-max", "7"], GOOD, id="n-max-7"),  # rejected before any work
+        pytest.param(["verify", "--check", "witness"], DEEP_GADGET, id="inner-3000-deep"),
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, text):
@@ -258,3 +263,18 @@ def test_searches_deeper_than_the_stack_allows_exit_2(tmp_path, capsys):
     assert main(["solve", "--problem", "rc", "--k", "1", "--input", write(tmp_path, "k46.txt", emit_edge_list(k46))]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: search over 1035 edges exceeds the depth limit of 900 edges\n"
+
+
+@pytest.mark.parametrize("k", [None, "901"])
+def test_depth_limit_comes_before_the_set_up(tmp_path, capsys, monkeypatch, k):
+    def refuse(*args):
+        raise AssertionError("set-up ran before the depth check")
+
+    monkeypatch.setattr(search, "diameter", refuse)
+    monkeypatch.setattr(search, "all_pairs", refuse)
+    monkeypatch.setattr(cli, "all_pairs", refuse)
+    path = write(tmp_path, "p902.txt", emit_edge_list(new_graph(902, [(i, i + 1) for i in range(901)])))
+    argv = ["solve", "--problem", "rc", "--input", path] + (["--k", k] if k else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: search over 901 edges exceeds the depth limit of 900 edges\n"

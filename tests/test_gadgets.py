@@ -22,7 +22,6 @@ from rainbowcon import (
     new_graph,
     rc_reduction,
     simple_paths_up_to,
-    split_base,
     star_reduction,
     subset_rc_leq,
     witness_coloring,
@@ -86,33 +85,37 @@ def test_gadget_argument_validation():
         build_gadget(3, make_pairs([], 3), 1)
 
 
-def test_split_base_counts_and_identity():
-    g = build_order2_gadget(2, make_pairs([(0, 1)], 2))
-    assert (g.graph.vertex_count, g.graph.edge_count) == (4, 3)
-    sp = split_base(g)
-    assert (sp.graph.vertex_count, sp.graph.edge_count) == (8, 13)
+def test_recursive_step_counts_and_identity():
+    g = build_gadget(2, make_pairs([(0, 1)], 2), 4)
+    assert (g.inner.graph.vertex_count, g.inner.graph.edge_count) == (4, 3)
+    assert g.copies == {0: (2, 3, 4), 1: (5, 6, 7)}
+    assert g.carried == {2: 8, 3: 9}
+    for order in range(4, 8):
+        for n in (2, 3):
+            for pairs in all_pair_subsets(n):
+                g = build_gadget(n, pairs, order)
+                tags, inner_tags = gadget_layers(g), gadget_layers(g.inner)
+                assert all(tags[w] == inner_tags[v] for v, w in g.carried.items())
+                for c1, c2, c3 in g.copies.values():
+                    assert {(c1, c2), (c1, c3), (c2, c3)} <= g.graph.edges
+                    assert (tags[c1], tags[c2], tags[c3]) == ("copy1", "copy2", "copy3")
 
-    bare = Gadget(new_graph(3, [(0, 1), (1, 2)]), 2, (), make_pairs([]), {})
-    unsplit = split_base(bare)
-    assert unsplit.graph.edges == bare.graph.edges
-    assert unsplit.copies == {} and len(unsplit.carried) == 3
 
+def test_recursive_step_preserves_inner_distances():
+    for order in range(4, 8):
+        for n in (2, 3):
+            for pairs in all_pair_subsets(n):
+                g = build_gadget(n, pairs, order)
+                before = floyd_warshall(g.inner.graph)
+                after = floyd_warshall(g.graph)
 
-def test_split_base_preserves_distances():
-    for pairs in ([(0, 1)], []):
-        g = build_order3_gadget(3, make_pairs(pairs, 3))
-        before = floyd_warshall(g.graph)
-        sp = split_base(g)
-        after = floyd_warshall(sp.graph)
+                def image(v):
+                    return g.copies[v][0] if v in g.copies else g.carried[v]
 
-        def image(v):
-            return sp.copies[v][0] if v in sp.copies else sp.carried[v]
-
-        for u in range(g.graph.vertex_count):
-            for v in range(u + 1, g.graph.vertex_count):
-                assert after[image(u)][image(v)] == before[u][v]
-        for b, (c1, c2, c3) in sp.copies.items():
-            assert after[c1][c2] == after[c1][c3] == after[c2][c3] == 1
+                size = g.inner.graph.vertex_count
+                for u in range(size):
+                    for v in range(u + 1, size):
+                        assert after[image(u)][image(v)] == before[u][v]
 
 
 def test_recursive_orders_examples():

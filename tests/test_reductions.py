@@ -118,13 +118,13 @@ def test_src_extension_is_bipartite_with_declared_sides():
 
 
 def test_src_extension_rejects_bad_instances():
-    not_star = StarInstance(new_graph(3, [(0, 1), (1, 2)]), 2, make_pairs([(0, 1)], 2), 3, False)
     with pytest.raises(NotAStarError):
-        src_extension(not_star)
+        StarInstance(new_graph(3, [(0, 1), (1, 2)]), 2, make_pairs([(0, 1)], 2), 3)
+    with pytest.raises(NotAStarError):
+        StarInstance(new_graph(1, []), 0, make_pairs([]), 3)
     star = star_reduction(K3, 3)
-    center_pair = StarInstance(star.graph, 3, make_pairs([(0, 3)]), 3, False)
     with pytest.raises(PairNotLeafPairError):
-        src_extension(center_pair)
+        StarInstance(star.graph, 3, make_pairs([(0, 3)]), 3)
 
 
 def test_src_extension_matching_pairs_twins():
