@@ -265,32 +265,14 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int, limit: int | None
 
 
 def geodesics(g: Graph, u: int, v: int, limit: int | None = None) -> list[Path]:
-    """All shortest u-v paths, in lexicographic order, via the shortest-path DAG;
-    limit stops the enumeration as in simple_paths_up_to."""
+    """All shortest u-v paths, in lexicographic order; limit as in simple_paths_up_to.
+
+    At max_len = d(u, v) the pruning in simple_paths_up_to keeps exactly the
+    shortest-path DAG, so this is that walk with the distance as its bound.
+    """
     _check_vertex(u, g.vertex_count)
     _check_vertex(v, g.vertex_count)
-    if u == v:
-        raise ValueError("endpoints must differ")
-    dist_u = g.distances(u)
-    if dist_u[v] is UNREACHABLE:
+    total = g.distances(u)[v]
+    if total is UNREACHABLE:
         raise DisconnectedError(f"no path between {u} and {v}")
-    dist_v = g.distances(v)
-    total = dist_u[v]
-    out: list[Path] = []
-    stack = [u]
-
-    def extend(x: int) -> None:
-        for w in g.adjacency[x]:
-            if limit is not None and len(out) > limit:
-                return
-            if dist_u[w] != dist_u[x] + 1 or dist_u[w] + dist_v[w] != total:
-                continue
-            if w == v:
-                out.append(Path(tuple(stack) + (v,)))
-                continue
-            stack.append(w)
-            extend(w)
-            stack.pop()
-
-    extend(u)
-    return out
+    return simple_paths_up_to(g, u, v, total, limit)

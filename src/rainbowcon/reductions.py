@@ -140,6 +140,13 @@ def _nonpairs(n: int, pairs: PairSet) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
 
 
+def _twin_tags(rx: tuple, ry: tuple) -> bool:
+    tx, ty = rx[0], ry[0]
+    if tx.endswith("_twin"):
+        tx, ty = ty, tx
+    return ty == tx + "_twin" and rx[1:] == ry[1:]
+
+
 @dataclass(frozen=True, eq=False)
 class SrcExtension:
     """The star grown into a bipartite graph whose every pair is constrained.
@@ -147,60 +154,44 @@ class SrcExtension:
     New layer one (anchors + bridges) attaches to the leaves, its twin layer
     attaches to the center, and the two layers are joined completely. The
     sides ({center} + layer one, leaves + twin layer) witness bipartiteness.
+    roles maps each vertex to a tagged tuple, as in Gadget: ("leaf", i),
+    ("center",), ("anchor", i), ("bridge", i, j) and their "_twin" tags.
     """
 
     star: StarInstance
     graph: Graph
-    anchors: tuple[int, ...]
-    bridges: dict[tuple[int, int], int]
-    anchor_twins: tuple[int, ...]
-    bridge_twins: dict[tuple[int, int], int]
+    roles: dict[int, tuple]
+
+    def _tagged(self, *tags: str) -> tuple[int, ...]:
+        return tuple(v for v, role in sorted(self.roles.items()) if role[0] in tags)
 
     @property
     def layer_one(self) -> tuple[int, ...]:
-        return tuple(sorted(self.anchors + tuple(self.bridges.values())))
+        return self._tagged("anchor", "bridge")
 
     @property
     def twin_layer(self) -> tuple[int, ...]:
-        return tuple(sorted(self.anchor_twins + tuple(self.bridge_twins.values())))
+        return self._tagged("anchor_twin", "bridge_twin")
 
     @property
     def matching(self) -> tuple[tuple[int, int], ...]:
-        pairs = [(a, b) for a, b in zip(self.anchors, self.anchor_twins)]
-        pairs += [(self.bridges[t], self.bridge_twins[t]) for t in sorted(self.bridges)]
-        return tuple(canonical_pair(a, b) for a, b in sorted(pairs))
+        return tuple(e for e in self.graph.edge_order if _twin_tags(self.roles[e[0]], self.roles[e[1]]))
 
     def sides(self) -> tuple[tuple[int, ...], ...]:
-        a = tuple(sorted((self.star.center,) + self.layer_one))
-        b = tuple(sorted(tuple(self.star.leaves) + self.twin_layer))
-        return a, b
+        return self._tagged("center", "anchor", "bridge"), self._tagged("leaf", "anchor_twin", "bridge_twin")
 
     def edge_layer(self, u: int, v: int) -> str:
         """Classify an edge: star | leaf_link | cross_link | center_link."""
-        u, v = canonical_pair(u, v)
-        center = self.star.center
-        leaves = set(self.star.leaves)
-        one = set(self.layer_one)
-        two = set(self.twin_layer)
-        if v == center and u in leaves:
-            return "star"
-        if u in leaves and v in one:
-            return "leaf_link"
-        if u in one and v in two:
-            return "cross_link"
-        if u == center and v in two:
-            return "center_link"
-        raise DomainMismatchError(f"({u}, {v}) is not an edge of the extension")
+        if not self.graph.has_edge(u, v):
+            raise DomainMismatchError(f"({u}, {v}) is not an edge of the extension")
+        tags = (self.roles[u][0], self.roles[v][0])
+        if "leaf" in tags:
+            return "star" if "center" in tags else "leaf_link"
+        return "center_link" if "center" in tags else "cross_link"
 
     def layers(self) -> dict[int, str]:
         """Per-vertex display tag: leaf | center | anchor | bridge | anchor_twin | bridge_twin."""
-        tags = dict.fromkeys(self.star.leaves, "leaf")
-        tags[self.star.center] = "center"
-        tags.update(dict.fromkeys(self.anchors, "anchor"))
-        tags.update(dict.fromkeys(self.bridges.values(), "bridge"))
-        tags.update(dict.fromkeys(self.anchor_twins, "anchor_twin"))
-        tags.update(dict.fromkeys(self.bridge_twins.values(), "bridge_twin"))
-        return tags
+        return {v: role[0] for v, role in sorted(self.roles.items())}
 
 
 def src_extension(inst: StarInstance) -> SrcExtension:
@@ -211,28 +202,23 @@ def src_extension(inst: StarInstance) -> SrcExtension:
     the complete join makes everything else close, and each required pair
     keeps its unique two-edge path through the center.
     """
-    n = inst.leaf_count
+    n, center = inst.leaf_count, inst.center
     nonpairs = _nonpairs(n, inst.pairs)
-    z = len(nonpairs)
-    layer_size = n + z
-    first = n + 1
-    anchors = tuple(first + i for i in range(n))
-    bridges = {t: first + n + idx for idx, t in enumerate(nonpairs)}
-    anchor_twins = tuple(a + layer_size for a in anchors)
-    bridge_twins = {t: b + layer_size for t, b in bridges.items()}
+    layer_size = n + len(nonpairs)
+    layer = range(n + 1, n + 1 + layer_size)
+    roles: dict[int, tuple] = {i: ("leaf", i) for i in range(n)}
+    roles[center] = ("center",)
+    roles.update({layer[i]: ("anchor", i) for i in range(n)})
+    roles.update({layer[n + idx]: ("bridge", i, j) for idx, (i, j) in enumerate(nonpairs)})
 
-    edges: list[tuple[int, int]] = [(i, inst.center) for i in range(n)]
-    edges += [(i, anchors[i]) for i in range(n)]
-    for (i, j), b in bridges.items():
-        edges.append((i, b))
-        edges.append((j, b))
-    layer_one = anchors + tuple(bridges[t] for t in nonpairs)
-    twin_layer = anchor_twins + tuple(bridge_twins[t] for t in nonpairs)
-    edges += [(x, y) for x in layer_one for y in twin_layer]
-    edges += [(inst.center, y) for y in twin_layer]
-
-    graph = new_graph(n + 1 + 2 * layer_size, edges)
-    return SrcExtension(inst, graph, anchors, dict(bridges), anchor_twins, dict(bridge_twins))
+    edges: list[tuple[int, int]] = [(i, center) for i in range(n)]
+    for x in layer:
+        tag, *leaves = roles[x]
+        roles[x + layer_size] = (tag + "_twin", *leaves)
+        edges += [(i, x) for i in leaves]
+        edges += [(x, y + layer_size) for y in layer]
+        edges.append((center, x + layer_size))
+    return SrcExtension(inst, new_graph(n + 1 + 2 * layer_size, edges), roles)
 
 
 def src_witness_coloring(ext: SrcExtension, base: EdgeColoring) -> EdgeColoring:
@@ -249,22 +235,21 @@ def src_witness_coloring(ext: SrcExtension, base: EdgeColoring) -> EdgeColoring:
         raise TooFewColorsError("the extension coloring needs at least 3 colors")
     if not is_subset_strong_rainbow_connected(base, ext.star.pairs):
         raise NotSubsetRainbowConnectedError("base coloring misses a required pair")
-    k = base.color_count
-    center = ext.star.center
-    colors: dict[tuple[int, int], int] = {}
-    for i in ext.star.leaves:
-        colors[canonical_pair(i, center)] = base.color_of(i, center)
-        colors[canonical_pair(i, ext.anchors[i])] = 2
-    for (i, j), b in ext.bridges.items():
-        colors[canonical_pair(i, b)] = 0
-        colors[canonical_pair(j, b)] = 1
-    matched = set(ext.matching)
-    for x in ext.layer_one:
-        for y in ext.twin_layer:
-            colors[canonical_pair(x, y)] = 0 if canonical_pair(x, y) in matched else 1
-    for y in ext.twin_layer:
-        colors[canonical_pair(center, y)] = 2
-    return edge_coloring(ext.graph, k, colors)
+    colors: list[int] = []
+    for u, v in ext.graph.edge_order:  # u < v, so a leaf or the center can only be u
+        ru, rv = ext.roles[u], ext.roles[v]
+        if ru[0] == "leaf":
+            if rv[0] == "center":
+                colors.append(base.color_of(u, v))
+            elif rv[0] == "anchor":
+                colors.append(2)
+            else:  # bridge (i, j) with i < j: near side 0, far side 1
+                colors.append(0 if u == rv[1] else 1)
+        elif ru[0] == "center":
+            colors.append(2)
+        else:  # complete join between layer one and its twin
+            colors.append(0 if _twin_tags(ru, rv) else 1)
+    return edge_coloring(ext.graph, base.color_count, colors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,13 +385,6 @@ def build_gadget(n: int, pairs: PairSet, order: int) -> Gadget:
     return Gadget(graph, order, tuple(range(n)), pairs, roles, inner, copies, carried)
 
 
-def _twin_tags(rx: tuple, ry: tuple) -> bool:
-    tx, ty = rx[0], ry[0]
-    if tx.endswith("_twin"):
-        tx, ty = ty, tx
-    return ty == tx + "_twin" and rx[1:] == ry[1:]
-
-
 def _order2_colors(g: Gadget) -> list[int]:
     colors: list[int] = []
     for u, v in g.graph.edge_order:
@@ -455,17 +433,19 @@ def witness_coloring(g: Gadget) -> EdgeColoring:
     if set(g.roles) != set(range(g.graph.vertex_count)):
         raise MissingLayerTagsError("vertex roles missing or inconsistent")
     k = g.order
-    if k == 2:
-        return edge_coloring(g.graph, 2, _order2_colors(g))
-    if k == 3:
-        return edge_coloring(g.graph, 3, _order3_colors(g))
-    if g.inner is None or g.copies is None or g.carried is None:
-        raise MissingLayerTagsError("recursive gadget lacks its construction trace")
-    inner_coloring = witness_coloring(g.inner)
-    inner_base = set(g.inner.base_vertices)
-    slot = g.graph.edge_index
-    colors: list[int | None] = [None] * g.graph.edge_count
-    try:  # a corrupted trace names vertices or edges the gadget lacks
+    if k < 2:
+        raise InvalidOrderError(f"no gadget of order {k}")
+    try:  # corrupted roles or a corrupted trace name tags, vertices or edges the gadget lacks
+        if k == 2:
+            return edge_coloring(g.graph, 2, _order2_colors(g))
+        if k == 3:
+            return edge_coloring(g.graph, 3, _order3_colors(g))
+        if g.inner is None or g.copies is None or g.carried is None:
+            raise MissingLayerTagsError("recursive gadget lacks its construction trace")
+        inner_coloring = witness_coloring(g.inner)
+        inner_base = set(g.inner.base_vertices)
+        slot = g.graph.edge_index
+        colors: list[int | None] = [None] * g.graph.edge_count
         for (u, v), inherited in zip(g.inner.graph.edge_order, inner_coloring.colors):
             if u in inner_base or v in inner_base:
                 b, w = (u, v) if u in inner_base else (v, u)
@@ -485,12 +465,12 @@ def witness_coloring(g: Gadget) -> EdgeColoring:
             colors[slot[canonical_pair(c1, nb)]] = k - 2
             colors[slot[canonical_pair(c2, nb)]] = k - 1
             colors[slot[canonical_pair(c3, nb)]] = k - 1
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise MissingLayerTagsError(f"construction trace does not match the gadget: {exc!r}") from None
-    if None in colors:
-        missing = g.graph.edge_order[colors.index(None)]
-        raise MissingLayerTagsError(f"construction trace leaves edge {missing} uncolored")
-    return edge_coloring(g.graph, k, colors)
+        if None in colors:
+            missing = g.graph.edge_order[colors.index(None)]
+            raise MissingLayerTagsError(f"construction trace leaves edge {missing} uncolored")
+        return edge_coloring(g.graph, k, colors)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise MissingLayerTagsError(f"roles or construction trace do not match the gadget: {exc!r}") from None
 
 
 def gadget_layers(g: Gadget) -> dict[int, str]:
@@ -512,11 +492,7 @@ class ReducedInstance:
 
     graph: Graph
     gadget: Gadget
-    base_edges: frozenset[tuple[int, int]]
     source: SubsetInstance
-
-    def base_graph(self) -> Graph:
-        return new_graph(self.source.graph.vertex_count, self.base_edges)
 
 
 def rc_reduction(inst: SubsetInstance) -> ReducedInstance:
@@ -528,10 +504,8 @@ def rc_reduction(inst: SubsetInstance) -> ReducedInstance:
     if inst.k < 2:
         raise InvalidOrderError(f"no reduction for k = {inst.k}")
     gadget = build_gadget(inst.graph.vertex_count, inst.pairs, inst.k)
-    base_edges = frozenset(inst.graph.edges)
-    edges = list(gadget.graph.edges) + list(base_edges)
-    graph = new_graph(gadget.graph.vertex_count, edges)
-    return ReducedInstance(graph, gadget, base_edges, inst)
+    graph = new_graph(gadget.graph.vertex_count, gadget.graph.edges | inst.graph.edges)
+    return ReducedInstance(graph, gadget, inst)
 
 
 def combine_colorings(r: ReducedInstance, base: EdgeColoring, gadget: EdgeColoring) -> EdgeColoring:
@@ -547,5 +521,6 @@ def combine_colorings(r: ReducedInstance, base: EdgeColoring, gadget: EdgeColori
         raise DomainMismatchError("gadget coloring must cover exactly the gadget edges")
     if base.color_count > k or gadget.color_count > k:
         raise DomainMismatchError(f"colorings must use at most {k} color indices")
-    colors = [base.color_of(*e) if e in r.base_edges else gadget.color_of(*e) for e in r.graph.edge_order]
+    base_edges = r.source.graph.edges
+    colors = [base.color_of(*e) if e in base_edges else gadget.color_of(*e) for e in r.graph.edge_order]
     return edge_coloring(r.graph, k, colors)

@@ -1,8 +1,20 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rainbowcon import all_pairs, is_rainbow_connected, make_pairs, new_graph, simple_paths_up_to, subset_rc_leq
+from rainbowcon import (
+    IndexOutOfRangeError,
+    Path,
+    all_pairs,
+    geodesics,
+    is_rainbow_connected,
+    make_pairs,
+    new_graph,
+    simple_paths_up_to,
+    subset_rc_leq,
+)
 from rainbowcon import cli, search
 from rainbowcon.cli import main
 from rainbowcon.io import dump_gadget, emit_edge_list, emit_instance, gadget_json_obj, load_coloring
@@ -195,6 +207,25 @@ def order4_gadget_text(drop_edge: bool) -> str:
     return json.dumps(obj)
 
 
+def mutated_gadget_text(order: int, mutate) -> str:
+    """The record of the order-k gadget on three bases with the pair (0, 1), after mutate."""
+    obj = gadget_json_obj(build_gadget(3, make_pairs([(0, 1)], 3), order))
+    mutate(obj)
+    return json.dumps(obj)
+
+
+def empty_roles(obj):
+    obj["roles"] = dict.fromkeys(obj["roles"], [])
+
+
+def integer_tags(obj):
+    obj["roles"] = {v: [0, *role[1:]] for v, role in obj["roles"].items()}
+
+
+def cut_bridges(obj):
+    obj["roles"] = {v: role[:1] if role[0] == "bridge" else role for v, role in obj["roles"].items()}
+
+
 DEEP_GADGET = '{"order": 4, "n": 2, "edges": [], "pairs": [], "base_vertices": [0, 1], "inner": ' * 3000 + "null" + "}" * 3000
 
 
@@ -225,6 +256,14 @@ DEEP_GADGET = '{"order": 4, "n": 2, "edges": [], "pairs": [], "base_vertices": [
         pytest.param(["verify", "--check", "witness"], order4_gadget_text(drop_edge=True), id="dropped-edge"),
         pytest.param(["verify", "--n-max", "7"], GOOD, id="n-max-7"),  # rejected before any work
         pytest.param(["verify", "--check", "witness"], DEEP_GADGET, id="inner-3000-deep"),
+        pytest.param(["verify", "--check", "witness"], mutated_gadget_text(2, empty_roles), id="order2-empty-roles"),
+        pytest.param(["verify", "--check", "witness"], mutated_gadget_text(3, empty_roles), id="order3-empty-roles"),
+        pytest.param(["verify", "--check", "witness"], mutated_gadget_text(3, integer_tags), id="order3-int-tags"),
+        pytest.param(["verify", "--check", "witness"], mutated_gadget_text(2, cut_bridges), id="order2-cut-bridge"),
+        pytest.param(["verify", "--check", "witness"], mutated_gadget_text(5, lambda o: o.update(order=1)),
+                     id="order5-as-order1"),
+        pytest.param(["verify", "--check", "witness"], mutated_gadget_text(7, lambda o: o.update(order=4)),
+                     id="order7-as-order4"),
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, text):
@@ -233,6 +272,33 @@ def test_malformed_input_exits_2_with_one_error_line(tmp_path, capsys, argv, tex
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+ROLE_JUNK = st.one_of(st.integers(-2, 40), st.sampled_from(["base", "anchor", "bridge", "bridge_left", "copy", "x_twin"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5]), st.sampled_from(["pair-distances", "nonpair-distances", "witness"]), st.data())
+def test_mutated_gadget_records_keep_the_exit_contract(tmp_path_factory, order, check, data):
+    obj = gadget_json_obj(build_gadget(3, make_pairs([(0, 1)], 3), order))
+    for field in data.draw(st.lists(st.sampled_from(["roles", "order", "copies", "base_vertices"]), min_size=1, max_size=3)):
+        record = obj
+        for _ in range(data.draw(st.integers(0, (order - 2) // 2))):
+            record = record["inner"]
+        n = record["n"]
+        if field == "roles":
+            vertex = data.draw(st.sampled_from(sorted(record["roles"])))
+            record["roles"][vertex] = data.draw(st.one_of(ROLE_JUNK, st.lists(ROLE_JUNK, max_size=4)))
+        elif field == "order":
+            record["order"] = data.draw(st.integers(-1, 8))
+        elif field == "copies":
+            base = data.draw(st.sampled_from(["0", "1", "2"]))
+            record.setdefault("copies", {})[base] = data.draw(st.lists(st.integers(-1, n), max_size=4))
+        else:
+            record["base_vertices"] = data.draw(st.lists(st.integers(-1, n), max_size=5))
+    path = tmp_path_factory.getbasetemp() / "mutated-gadget.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify", "--check", check, "--input", str(path)]) in (0, 1, 2)
 
 
 K12_EDGES = [(i, j) for i in range(12) for j in range(i)]
@@ -246,6 +312,18 @@ def test_budget_bounds_the_path_table(tmp_path, capsys):
     assert main(["solve", "--problem", "rc", "--k", "10", "--budget", "1000", "--input", k12_minus]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: exceeded budget of 1000 path-table entries and search nodes\n"
+
+
+def test_geodesics_stop_at_the_limit():
+    q4 = new_graph(16, [(v, v ^ (1 << b)) for v in range(16) for b in range(4)])
+    every = geodesics(q4, 0, 15)
+    assert len(every) == 24 and all(p.edge_count == 4 for p in every)
+    assert geodesics(q4, 0, 15, limit=0) == every[:1]
+    assert geodesics(q4, 0, 15, limit=5) == every[:6]
+    assert geodesics(q4, 0, 15, limit=24) == every
+    assert geodesics(q4, 0, 1, limit=0) == [Path((0, 1))]
+    with pytest.raises(IndexOutOfRangeError):
+        geodesics(q4, 0, -1)
 
 
 def test_adjacent_pairs_need_no_path_table(tmp_path, capsys):

@@ -208,8 +208,7 @@ def test_rc_reduction_micro_is_four_cycle():
     inst = SubsetInstance(new_graph(2, [(0, 1)]), make_pairs([(0, 1)], 2), 2)
     r = rc_reduction(inst)
     assert sorted(r.graph.edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
-    assert r.base_edges == frozenset({(0, 1)})
-    assert r.base_graph() == inst.graph
+    assert r.source.graph.edges == frozenset({(0, 1)})
 
 
 def test_rc_reduction_counts_and_pair_lifting():
@@ -231,8 +230,8 @@ def test_rc_reduction_gadget_and_base_edges_disjoint():
     ]:
         inst = SubsetInstance(new_graph(n, edges), make_pairs(pairs, n), k)
         r = rc_reduction(inst)
-        assert r.base_edges & r.gadget.graph.edges == frozenset()
-        assert r.graph.edges == r.gadget.graph.edges | r.base_edges
+        assert r.source.graph.edges & r.gadget.graph.edges == frozenset()
+        assert r.graph.edges == r.gadget.graph.edges | r.source.graph.edges
 
 
 def test_combine_colorings_micro():
@@ -270,4 +269,4 @@ def test_containment_property_small():
     r = rc_reduction(inst)
     for u, v in r.gadget.pairs:
         for path in simple_paths_up_to(r.graph, u, v, inst.k):
-            assert all(e in r.base_edges for e in path.edges())
+            assert all(e in r.source.graph.edges for e in path.edges())

@@ -24,6 +24,7 @@ from rainbowcon import (
     new_graph,
     rc_exact,
     src_exact,
+    star_reduction,
     subset_rc_leq,
     subset_src_leq,
 )
@@ -86,6 +87,27 @@ def test_verify_demo_and_reduce_output_is_pinned(tmp_path, capsys):
 def test_verify_battery_output_is_pinned_at_more_seeds(capsys, seed, digest):
     # other seeds draw other fuzz instances, so other gadgets repeat across the battery
     assert stdout_digest(capsys, ["verify", "--seed", seed]) == digest
+
+
+C5 = new_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+K4 = new_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+
+
+@pytest.mark.parametrize(
+    "name, reduce_digest, verify_digest",
+    [
+        ("K4", "9f52f07b40f9519d6f06f59898ae4966108e54fbd02c43b54d554cdd2b7b972a",
+         "a14440bbca2a32df46c0be5b99c69c8c4ded82f3c268eecbc81590439d3f3624"),
+        ("C5", "6073a0402b37a28b8932c815d8afd1c3e8db02b9c74740963ff05a769104e605",
+         "0ea132c45885a7bb4e1c12a22037c45edfccb1b4346c9e174a516baea65247df"),
+    ],
+)
+def test_src_extension_output_is_pinned(tmp_path, capsys, name, reduce_digest, verify_digest):
+    star = star_reduction({"K4": K4, "C5": C5}[name], 3)
+    path = tmp_path / "star.json"
+    path.write_text(emit_instance(star.graph, star.pairs, 3), encoding="utf-8")
+    assert stdout_digest(capsys, ["reduce", "--reduction", "src-ext", "--input", str(path)]) == reduce_digest
+    assert stdout_digest(capsys, ["verify", "--check", "src-equivalence", "--input", str(path)]) == verify_digest
 
 
 def test_solvers_raise_on_disconnected_pairs():

@@ -134,6 +134,22 @@ def test_src_extension_matching_pairs_twins():
     assert matched == set(ext.layer_one) | set(ext.twin_layer)
 
 
+def test_src_extension_edge_layer_rejects_every_non_edge():
+    ext = src_extension(star_reduction(new_graph(3, [(0, 1), (1, 2)]), 3))
+    anchor_of_1 = next(v for v, role in ext.roles.items() if role == ("anchor", 1))
+    with pytest.raises(DomainMismatchError):
+        ext.edge_layer(0, anchor_of_1)
+    n = ext.graph.vertex_count
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            if not ext.graph.has_edge(u, v):
+                with pytest.raises(DomainMismatchError):
+                    ext.edge_layer(u, v)
+    assert {ext.edge_layer(u, v) for u, v in ext.graph.edge_order} == {
+        "star", "leaf_link", "cross_link", "center_link"
+    }
+
+
 def test_src_witness_coloring_strong_rainbow():
     star = star_reduction(K3, 3)
     base = lift_vertex_coloring(star, (0, 1, 2))

@@ -111,12 +111,12 @@ def test_containment_check_and_planted_chord():
     # chord from a base vertex into the gadget interior creates a short mixed path
     interior = r.gadget.base_count + 1
     chord = new_graph(r.graph.vertex_count, list(r.graph.edges) + [(0, interior)])
-    bad = ReducedInstance(chord, r.gadget, r.base_edges, inst)
+    bad = ReducedInstance(chord, r.gadget, inst)
     report = check_path_containment(bad)
     assert not report.passed
     path = Path(tuple(report.counterexample["path"]))
     check_path(chord, path)
-    assert any(e not in r.base_edges for e in path.edges())
+    assert any(e not in r.source.graph.edges for e in path.edges())
     assert path.edge_count <= inst.k
 
 
@@ -182,7 +182,6 @@ def test_fuzz_json_lines_hide_timing():
     report = fuzz(FuzzConfig(seeds=1), seed=0)[0]
     payload = json.loads(report.json_line())
     assert set(payload) == {"check", "instance", "passed", "counterexample"}
-    assert report.elapsed_seconds >= 0.0
 
 
 def test_battery_small_run_passes():
