@@ -3,7 +3,9 @@
 A rainbow path repeats no edge color, so with k colors it has at most k
 edges. All existence checks below search over (used-color-set, vertex)
 states, which bounds the depth at k automatically and keeps gadget-sized
-instances cheap. Vertex sets are carried as integer bitmasks.
+instances cheap. The geodesic checks run the same search on arcs between
+consecutive BFS layers only, so every walk it follows is a shortest path.
+Vertex sets are carried as integer bitmasks.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DisconnectedError, IndexOutOfRangeError
-from .graph import UNREACHABLE, Graph, PairSet, Path, canonical_pair, check_path, distances_from, is_connected
+from .errors import DisconnectedError
+from .graph import UNREACHABLE, Graph, PairSet, Path, _check_endpoints, canonical_pair, check_path, is_connected
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,9 @@ def _color_neighbor_masks(g: Graph, colors: tuple[int, ...], color_count: int) -
     return masks
 
 
-def _rainbow_reach(masks: list[list[int]], color_count: int, source: int, stop_mask: int) -> int:
+def _rainbow_reach(
+    masks: list[list[int]], color_count: int, source: int, stop_mask: int, adjacency: list[int] | None = None
+) -> int:
     """Bitmask of vertices reachable from source along some rainbow path; the
     search stops as soon as every vertex of stop_mask is reached.
 
@@ -88,12 +92,27 @@ def _rainbow_reach(masks: list[list[int]], color_count: int, source: int, stop_m
     by a rainbow walk using exactly those d colors; shortcutting a repeated
     vertex in such a walk leaves a rainbow simple path, so reachability by
     walk and by path coincide.
+
+    With adjacency (a neighbor bitmask per vertex), level d follows only arcs
+    from BFS layer d - 1 into layer d, so every walk is a shortest path and the
+    result is the set of vertices with a rainbow geodesic from source.
     """
     reached = 1 << source
     missing = stop_mask & ~reached
     frontier: dict[int, int] = {0: reached}
-    by_bit = [(1 << col, masks[col]) for col in range(color_count)]
+    rows = by_bit = [(1 << col, masks[col]) for col in range(color_count)]
+    layer, seen = [source], reached
     for _ in range(color_count):
+        if adjacency is not None:
+            ahead = 0
+            for v in layer:
+                ahead |= adjacency[v]
+            ahead &= ~seen
+            if not ahead:  # every vertex reachable from source is behind this layer
+                break
+            seen |= ahead
+            by_bit = [(bit, {v: by_color[v] & ahead for v in layer}) for bit, by_color in rows]
+            layer = [v for v in range(ahead.bit_length()) if ahead >> v & 1]
         nxt: dict[int, int] = {}
         for used, mask in frontier.items():
             vertices = []  # split once per state, not once per free color
@@ -126,12 +145,7 @@ def _rainbow_reach(masks: list[list[int]], color_count: int, source: int, stop_m
 
 def exists_rainbow_path(c: EdgeColoring, u: int, v: int) -> bool:
     """True iff some simple u-v path of the host is rainbow under c."""
-    n = c.host.vertex_count
-    for x in (u, v):
-        if not 0 <= x < n:
-            raise IndexOutOfRangeError(f"vertex {x} not in range 0..{n - 1}")
-    if u == v:
-        raise ValueError("endpoints must differ")
+    _check_endpoints(c.host, u, v)
     return bool(_rainbow_reacher(c.host, c.colors, c.color_count)(u, 1 << v) >> v & 1)
 
 
@@ -140,49 +154,26 @@ def _require_pair_connected(g: Graph, u: int, v: int) -> None:
         raise DisconnectedError(f"no path between {u} and {v}")
 
 
-def _geodesic_dag(g: Graph, source: int) -> list[tuple[int, int, int]]:
-    """Arcs (v, w, edge index) of the shortest-path DAG from source, by distance of v."""
-    dist = distances_from(g, source)  # one scan visits each source once, so the row is not kept
-    index = g.edge_index
-    order = sorted((d, v) for v, d in enumerate(dist) if d != UNREACHABLE)
-    return [
-        (v, w, index[canonical_pair(v, w)]) for d, v in order for w in g.adjacency[v] if dist[w] == d + 1
-    ]
-
-
-def _geodesic_reach(colors: tuple[int, ...], dag: list[tuple[int, int, int]], source: int) -> int:
-    """Bitmask of vertices with a rainbow shortest path from source.
-
-    Carries, per vertex, the color sets realizable along shortest paths from
-    source, walking dag (from _geodesic_dag) in distance order.
-    """
-    sets: dict[int, set[int]] = {source: {0}}
-    for v, w, e in dag:
-        here = sets.get(v)
-        if not here:
-            continue
-        bit = 1 << colors[e]
-        target = sets.setdefault(w, set())
-        for s in here:
-            if not s & bit:
-                target.add(s | bit)
-    reached = 0
-    for v, s in sets.items():
-        if s:
-            reached |= 1 << v
-    return reached
-
-
 def exists_geodesic_rainbow_path(c: EdgeColoring, u: int, v: int) -> bool:
     """True iff at least one shortest u-v path is rainbow under c."""
-    if u == v:
-        raise ValueError("endpoints must differ")
+    _check_endpoints(c.host, u, v)
     _require_pair_connected(c.host, u, v)
-    return bool(_geodesic_reach(c.colors, _geodesic_dag(c.host, u), u) >> v & 1)
+    return bool(_rainbow_reacher(c.host, c.colors, c.color_count, geodesic=True)(u, 1 << v) >> v & 1)
 
 
-def _targets_by_source(n: int, required: PairSet | None, skip: PairSet | None) -> list[tuple[int, int]]:
-    """(source, target bitmask) in source order: the required pairs, else every pair not skipped."""
+def _rainbow_reacher(g: Graph, colors: tuple[int, ...], k: int, geodesic: bool = False):
+    masks = _color_neighbor_masks(g, colors, k)
+    # each edge has one color, so a vertex's color rows are disjoint and their sum is its neighbor mask
+    adjacency = [sum(rows) for rows in zip(*masks)] if geodesic else None
+    return lambda u, targets: _rainbow_reach(masks, k, u, targets, adjacency)
+
+
+def _first_missing_pair(
+    c: EdgeColoring, required: PairSet | None, skip: PairSet | None, geodesic: bool
+) -> tuple[int, int] | None:
+    """Earliest (source, target) of the required pairs, else of every pair not
+    skipped, with no rainbow path (geodesic: no rainbow shortest path)."""
+    n = c.host.vertex_count
     if required is not None:
         wanted: dict[int, int] = {}
         for u, v in required.pairs:
@@ -191,21 +182,12 @@ def _targets_by_source(n: int, required: PairSet | None, skip: PairSet | None) -
         wanted = {u: (1 << n) - (2 << u) for u in range(n - 1)}
         for u, v in skip.pairs if skip is not None else ():
             wanted[u] = wanted.get(u, 0) & ~(1 << v)
-    return sorted((u, targets) for u, targets in wanted.items() if targets)
-
-
-def _first_missing_pair(wanted: list[tuple[int, int]], reach) -> tuple[int, int] | None:
-    """Earliest (source, target) of wanted whose target is not in reach(source, targets)."""
-    for u, targets in wanted:
-        missing = targets & ~reach(u, targets)
+    reach = _rainbow_reacher(c.host, c.colors, c.color_count, geodesic)
+    for u, targets in sorted(wanted.items()):
+        missing = targets & ~reach(u, targets) if targets else 0
         if missing:
             return u, (missing & -missing).bit_length() - 1
     return None
-
-
-def _rainbow_reacher(g: Graph, colors: tuple[int, ...], k: int):
-    masks = _color_neighbor_masks(g, colors, k)
-    return lambda u, targets: _rainbow_reach(masks, k, u, targets)
 
 
 def first_non_rainbow_pair(
@@ -219,8 +201,7 @@ def first_non_rainbow_pair(
     from the all-pairs scan. Unreachable pairs count as failures here; use
     the public predicates for the loud Disconnected errors.
     """
-    wanted = _targets_by_source(c.host.vertex_count, required, skip)
-    return _first_missing_pair(wanted, _rainbow_reacher(c.host, c.colors, c.color_count))
+    return _first_missing_pair(c, required, skip, geodesic=False)
 
 
 def first_non_geodesic_rainbow_pair(
@@ -229,8 +210,7 @@ def first_non_geodesic_rainbow_pair(
     skip: PairSet | None = None,
 ) -> tuple[int, int] | None:
     """Earliest pair with no rainbow shortest path (unreachable pairs fail)."""
-    wanted = _targets_by_source(c.host.vertex_count, required, skip)
-    return _first_missing_pair(wanted, lambda u, _: _geodesic_reach(c.colors, _geodesic_dag(c.host, u), u))
+    return _first_missing_pair(c, required, skip, geodesic=True)
 
 
 def is_rainbow_connected(c: EdgeColoring) -> bool:

@@ -73,6 +73,13 @@ def _check_vertex(v: int, vertex_count: int) -> None:
         raise IndexOutOfRangeError(f"vertex {v} not in range 0..{vertex_count - 1}")
 
 
+def _check_endpoints(g: Graph, u: int, v: int) -> None:
+    _check_vertex(u, g.vertex_count)
+    _check_vertex(v, g.vertex_count)
+    if u == v:
+        raise ValueError("endpoints must differ")
+
+
 def new_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph, canonicalizing edges and collapsing duplicates.
 
@@ -231,10 +238,7 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int, limit: int | None
     With limit, enumeration stops as soon as more than limit paths are found,
     so the list then holds the first limit + 1 paths.
     """
-    _check_vertex(u, g.vertex_count)
-    _check_vertex(v, g.vertex_count)
-    if u == v:
-        raise ValueError("endpoints must differ")
+    _check_endpoints(g, u, v)
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     dist_to_target = g.distances(v)

@@ -429,6 +429,12 @@ def witness_coloring(g: Gadget) -> EdgeColoring:
     base, the third copy's links get color k-2, triangles and the fresh
     base links get color k-1 (except one k-2 link per base, which keeps
     the new two-step detours rainbow). Uses exactly k color indices.
+
+    The color of each copy edge c1-c2 is free: any color there keeps the
+    witness valid. c1 and c2 share every neighbor and see the same color on
+    each except the fresh base nb, whose only other neighbor c3 meets nb, c1
+    and c2 in color k-1. So a rainbow path through c1-c2 drops c1 or c2, or
+    turns c3-nb-c1-c2 into c3-c2, and stays rainbow on a subset of its colors.
     """
     if set(g.roles) != set(range(g.graph.vertex_count)):
         raise MissingLayerTagsError("vertex roles missing or inconsistent")

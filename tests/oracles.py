@@ -63,6 +63,12 @@ def brute_geodesic_rainbow_exists(c: EdgeColoring, u: int, v: int) -> bool:
     return False
 
 
+def brute_first_failing_pair(c: EdgeColoring, strong: bool, pairs) -> tuple[int, int] | None:
+    """First of pairs (in the given order) with no rainbow path (strong: rainbow geodesic)."""
+    exists = brute_geodesic_rainbow_exists if strong else brute_rainbow_exists
+    return next((pair for pair in pairs if not exists(c, *pair)), None)
+
+
 def edge_slots(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowcon import (
+    BudgetExceededError,
     IndexOutOfRangeError,
     Path,
     all_pairs,
@@ -14,6 +15,7 @@ from rainbowcon import (
     new_graph,
     simple_paths_up_to,
     subset_rc_leq,
+    subset_src_leq,
 )
 from rainbowcon import cli, search
 from rainbowcon.cli import main
@@ -312,6 +314,19 @@ def test_budget_bounds_the_path_table(tmp_path, capsys):
     assert main(["solve", "--problem", "rc", "--k", "10", "--budget", "1000", "--input", k12_minus]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: exceeded budget of 1000 path-table entries and search nodes\n"
+
+
+def test_budget_bounds_the_search_phase(tmp_path, capsys):
+    # K3,9 at src <= 2 has a small path table (135 geodesics) but a search of millions of
+    # nodes, so only the budget's count of search nodes can stop it
+    k39 = new_graph(12, [(i, j) for i in range(3) for j in range(3, 12)])
+    assert sum(len(geodesics(k39, u, v)) for u, v in all_pairs(12) if not k39.has_edge(u, v)) == 135
+    with pytest.raises(BudgetExceededError):
+        subset_src_leq(k39, all_pairs(12), 2, budget=2000)
+    path = write(tmp_path, "k39.txt", emit_edge_list(k39))
+    assert main(["solve", "--problem", "src", "--k", "2", "--budget", "2000", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: exceeded budget of 2000 path-table entries and search nodes\n"
 
 
 def test_geodesics_stop_at_the_limit():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from rainbowcon import (
     DisconnectedError,
+    IndexOutOfRangeError,
     Path,
     PathNotInGraphError,
     all_pairs,
@@ -24,9 +25,11 @@ from rainbowcon import (
     subset_rc_leq,
     subset_src_leq,
 )
+from rainbowcon.coloring import first_non_geodesic_rainbow_pair, first_non_rainbow_pair
 
 from oracles import (
     all_graphs,
+    brute_first_failing_pair,
     brute_geodesic_rainbow_exists,
     brute_rainbow_exists,
     first_feasible_coloring,
@@ -84,11 +87,25 @@ def test_geodesic_examples():
     two_step = new_graph(3, [(0, 1), (1, 2)])
     equal = edge_coloring(two_step, 2, (0, 0))
     assert not exists_geodesic_rainbow_path(equal, 0, 2)
+    assert not exists_geodesic_rainbow_path(equal, 2, 0)
     distinct = edge_coloring(two_step, 2, (0, 1))
     assert exists_geodesic_rainbow_path(distinct, 0, 2)
     assert exists_geodesic_rainbow_path(equal, 0, 1)
     with pytest.raises(DisconnectedError):
         exists_geodesic_rainbow_path(edge_coloring(new_graph(3, [(0, 1)]), 1, (0,)), 0, 2)
+    # on C5 with 0-1-2 monochromatic, (0, 2) and (1, 4) have rainbow paths but no rainbow geodesic
+    c5 = edge_coloring(new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 3, (0, 0, 0, 1, 2))
+    assert first_non_rainbow_pair(c5) is None and first_non_geodesic_rainbow_pair(c5) == (0, 2)
+    assert first_non_geodesic_rainbow_pair(c5, skip=make_pairs([(0, 2)])) == (1, 4)
+    assert first_non_geodesic_rainbow_pair(c5, required=make_pairs([(3, 1), (4, 1)])) == (1, 4)
+
+
+@pytest.mark.parametrize("predicate", [exists_rainbow_path, exists_geodesic_rainbow_path])
+@pytest.mark.parametrize("u, v", [(0, -1), (0, 3), (-1, 0), (3, 0), (3, 3)])
+def test_pair_predicates_reject_out_of_range_vertices(predicate, u, v):
+    p3 = edge_coloring(new_graph(3, [(0, 1), (1, 2)]), 2, (0, 1))
+    with pytest.raises(IndexOutOfRangeError):
+        predicate(p3, u, v)
 
 
 def test_global_predicates_examples():
@@ -147,15 +164,27 @@ def test_rainbow_existence_matches_brute_force_random(c):
 
 
 @settings(max_examples=120, deadline=None)
-@given(colored_graphs(max_n=5))
+@given(colored_graphs())
 def test_geodesic_existence_matches_brute_force_random(c):
     dist = floyd_warshall(c.host)
     n = c.host.vertex_count
     for u in range(n):
-        for v in range(u + 1, n):
-            if dist[u][v] == float("inf"):
+        for v in range(n):
+            if u == v or dist[u][v] == float("inf"):
                 continue
             assert exists_geodesic_rainbow_path(c, u, v) == brute_geodesic_rainbow_exists(c, u, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(colored_graphs(), st.data())
+def test_first_failing_pair_matches_brute_force(c, data):
+    slots = [(u, v) for u in range(c.host.vertex_count) for v in range(u + 1, c.host.vertex_count)]
+    chosen = make_pairs(data.draw(st.lists(st.sampled_from(slots), unique=True)))
+    for scan, strong in ((first_non_rainbow_pair, False), (first_non_geodesic_rainbow_pair, True)):
+        assert scan(c) == brute_first_failing_pair(c, strong, slots)
+        assert scan(c, required=chosen) == brute_first_failing_pair(c, strong, sorted(chosen.pairs))
+        rest = [pair for pair in slots if pair not in chosen]
+        assert scan(c, skip=chosen) == brute_first_failing_pair(c, strong, rest)
 
 
 @st.composite

@@ -54,6 +54,10 @@ def test_star_reduction_edge_cases():
     with pytest.raises(EmptyGraphError):
         star_reduction(new_graph(0, []), 3)
     assert star_reduction(K3, 2).below_hardness_regime
+    single = star_reduction(K3, 1)
+    assert single.k == 1 and single.below_hardness_regime and len(single.pairs) == 3
+    with pytest.raises(ValueError):
+        star_reduction(K3, 0)
 
 
 def test_lift_examples():
