@@ -96,9 +96,11 @@ def _charge(budget: int | None, used: int) -> None:
 def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, paths_of) -> SolveResult:
     """Color the edges in edge order with restricted growth (one coloring per class of color
     permutations, which keep the verdict), tracking the admissible paths paths_of(u, v, limit)
-    of each pair that is not an edge (an edge is always a rainbow geodesic). A color on an edge
-    kills the live paths through it that already hold that color; a pair left with none cuts
-    the subtree. Nodes are colors tried on an edge.
+    of each pair that is not an edge (an edge is always a rainbow geodesic). Paths are bits:
+    through[e] masks the paths through edge e, spans[e] the paths of each pair with one
+    through e (a pair's paths are consecutive bits), holds[c] the paths holding color c, and
+    alive the paths with no repeated color. Coloring e with c kills through[e] & holds[c]; a
+    pair left with no alive path cuts the subtree. Nodes are colors tried on an edge.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -106,47 +108,43 @@ def _subset_search(g: Graph, pairs: PairSet, k: int, budget: int | None, paths_o
     if not _precheck_pairs(g, pairs, k):
         return SolveResult(False, None, 0)
     m = g.edge_count
-    through: list[list[int]] = [[] for _ in range(m)]  # ids of the paths through each edge
-    owner, live = [], []  # the pair of each path; the live paths of each pair
+    through, spans = [0] * m, [[] for _ in range(m)]
+    table, pathless = 0, False
     for u, v in sorted(set(pairs) - g.edges):  # adjacent pairs constrain no coloring
-        paths = paths_of(u, v, None if budget is None else budget - len(owner))
+        paths = paths_of(u, v, None if budget is None else budget - table)
+        pathless = pathless or not paths
+        span, touched = ((1 << len(paths)) - 1) << table, set()
         for path in paths:
-            for e in path.edges():
-                through[g.edge_index[e]].append(len(owner))
-            owner.append(len(live))
-        live.append(len(paths))
-        _charge(budget, len(owner))
-    dead = 1 << k
-    held = [0] * len(owner)  # colors on each path's colored edges, plus dead once killed
+            for e in map(g.edge_index.__getitem__, path.edges()):
+                through[e] |= 1 << table
+                touched.add(e)
+            table += 1
+        for e in touched:
+            spans[e].append(span)
+        _charge(budget, table)
+    holds = [0] * k
     colors = [0] * m
     nodes = 0
 
-    def assign(e: int, top: int) -> bool:
+    def assign(e: int, top: int, alive: int) -> bool:
         nonlocal nodes
         if e == m:
-            return True  # every live path is fully colored and rainbow
+            return True  # every alive path is fully colored and rainbow
         for c in range(min(top + 1, k - 1) + 1):
             nodes += 1
-            _charge(budget, len(owner) + nodes)
-            bit = 1 << c
-            grown = [j for j in through[e] if not held[j] & (bit | dead)]  # live, without c so far
-            killed = [j for j in through[e] if held[j] & (bit | dead) == bit]  # live, already hold c
-            for j in grown:
-                held[j] |= bit
-            for j in killed:
-                held[j] |= dead
-                live[owner[j]] -= 1
+            _charge(budget, table + nodes)
+            held = holds[c]
+            left = alive & ~(through[e] & held)
+            if left != alive and not all(left & span for span in spans[e]):
+                continue
+            holds[c] = held | through[e]
             colors[e] = c
-            if all(live[owner[j]] for j in killed) and assign(e + 1, top if c <= top else c):
+            if assign(e + 1, top if c <= top else c, left):
                 return True
-            for j in grown:
-                held[j] ^= bit
-            for j in killed:
-                held[j] ^= dead
-                live[owner[j]] += 1
+            holds[c] = held
         return False
 
-    if all(live) and assign(0, -1):
+    if not pathless and assign(0, -1, (1 << table) - 1):
         return SolveResult(True, EdgeColoring(g, k, tuple(colors)), nodes)
     return SolveResult(False, None, nodes)
 

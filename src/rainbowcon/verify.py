@@ -20,7 +20,7 @@ from .coloring import (
     is_subset_rainbow_connected,
     is_subset_strong_rainbow_connected,
 )
-from .errors import ToolkitError
+from .errors import BudgetExceededError, ToolkitError
 from .graph import (
     UNREACHABLE,
     Graph,
@@ -31,6 +31,7 @@ from .graph import (
     new_graph,
     simple_paths_up_to,
 )
+from .io import instance_json_obj
 from .reductions import (
     Gadget,
     ReducedInstance,
@@ -46,6 +47,7 @@ from .reductions import (
 )
 from .search import subset_rc_leq, subset_src_leq, vertex_coloring_leq
 
+MAX_EXHAUSTION = 1_000_000  # raw colorings one equivalence check may enumerate
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -185,13 +187,7 @@ def check_path_containment(r: ReducedInstance) -> CheckReport:
                 break
         if bad:
             break
-    desc = {
-        "n": r.source.graph.vertex_count,
-        "k": r.source.k,
-        "pairs": r.source.pairs.as_lists(),
-        "edges": [[u, v] for u, v in r.source.graph.edge_list()],
-    }
-    return CheckReport("containment", desc, bad)
+    return CheckReport("containment", instance_json_obj(r.source.graph, r.source.pairs, r.source.k), bad)
 
 
 def check_vertex_coloring_equivalence(g: Graph, k: int) -> CheckReport:
@@ -201,13 +197,17 @@ def check_vertex_coloring_equivalence(g: Graph, k: int) -> CheckReport:
     b = subset_rc_leq(star.graph, star.pairs, k).feasible
     c = subset_src_leq(star.graph, star.pairs, k).feasible
     bad = None if a == b == c else {"vertex_coloring": a, "subset_rc": b, "subset_src": c}
-    desc = {"n": g.vertex_count, "k": k, "edges": [[u, v] for u, v in g.edge_list()]}
-    return CheckReport("vc-equivalence", desc, bad)
+    return CheckReport("vc-equivalence", instance_json_obj(g, None, k), bad)
 
 
 def _exhaustion_counterexample(graph: Graph, pairs, k: int, connects) -> dict | None:
     """Raw k^m exhaustion of graph's edge colorings, kept independent of the search: the
-    first coloring (in itertools.product order) with connects(coloring, pairs), else None."""
+    first coloring (in itertools.product order) with connects(coloring, pairs), else None.
+    Raises BudgetExceededError up front when there are more than MAX_EXHAUSTION colorings."""
+    if k**graph.edge_count > MAX_EXHAUSTION:
+        raise BudgetExceededError(
+            f"raw exhaustion of {k}^{graph.edge_count} colorings exceeds the cap of {MAX_EXHAUSTION:,}"
+        )
     for colors in itertools.product(range(k), repeat=graph.edge_count):
         if connects(EdgeColoring(graph, k, colors), pairs):
             return {"reason": "exhaustion found a feasible base coloring", "colors": list(colors)}
@@ -272,14 +272,8 @@ def check_rc_equivalence(
     """
     r = rc_reduction(inst)
     base = subset_rc_leq(inst.graph, inst.pairs, inst.k)
-    desc = {
-        "n": inst.graph.vertex_count,
-        "k": inst.k,
-        "pairs": inst.pairs.as_lists(),
-        "edges": [[u, v] for u, v in inst.graph.edge_list()],
-        "feasible": base.feasible,
-        "full_bruteforce": full_bruteforce,
-    }
+    desc = instance_json_obj(inst.graph, inst.pairs, inst.k)
+    desc.update(feasible=base.feasible, full_bruteforce=full_bruteforce)
     bad: dict | None = None
     if base.feasible:
         assert isinstance(base.witness, EdgeColoring)

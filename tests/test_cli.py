@@ -228,6 +228,8 @@ def cut_bridges(obj):
     obj["roles"] = {v: role[:1] if role[0] == "bridge" else role for v, role in obj["roles"].items()}
 
 
+# 3^13 raw colorings of the star edges, past the exhaustion cap
+STAR13_K4 = emit_instance(new_graph(14, [(i, 13) for i in range(13)]), make_pairs(K4.edges, 14), 3)
 DEEP_GADGET = '{"order": 4, "n": 2, "edges": [], "pairs": [], "base_vertices": [0, 1], "inner": ' * 3000 + "null" + "}" * 3000
 
 
@@ -258,6 +260,8 @@ DEEP_GADGET = '{"order": 4, "n": 2, "edges": [], "pairs": [], "base_vertices": [
         pytest.param(["verify", "--check", "witness"], order4_gadget_text(drop_edge=True), id="dropped-edge"),
         pytest.param(["verify", "--n-max", "7"], GOOD, id="n-max-7"),  # rejected before any work
         pytest.param(["verify", "--check", "witness"], DEEP_GADGET, id="inner-3000-deep"),
+        pytest.param(["verify", "--check", "src-equivalence"], STAR13_K4, id="src-exhaustion-3^13"),
+        pytest.param(["verify", "--check", "rc-equivalence"], STAR13_K4, id="rc-exhaustion-3^13"),
         pytest.param(["verify", "--check", "witness"], mutated_gadget_text(2, empty_roles), id="order2-empty-roles"),
         pytest.param(["verify", "--check", "witness"], mutated_gadget_text(3, empty_roles), id="order3-empty-roles"),
         pytest.param(["verify", "--check", "witness"], mutated_gadget_text(3, integer_tags), id="order3-int-tags"),
@@ -371,3 +375,15 @@ def test_depth_limit_comes_before_the_set_up(tmp_path, capsys, monkeypatch, k):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: search over 901 edges exceeds the depth limit of 900 edges\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reduce", "--reduction", "star", "--budget", "5"], ["solve", "--problem", "rc", "--seed", "1"],
+     ["reduce", "--reduction", "star", "--seed", "1"], ["verify", "--budget", "5"]],
+)
+def test_options_belong_to_their_one_reader(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

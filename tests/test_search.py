@@ -6,6 +6,7 @@ from rainbowcon import (
     BudgetExceededError,
     DisconnectedError,
     DisconnectedPairError,
+    SubsetInstance,
     ToolkitError,
     all_pairs,
     diameter,
@@ -18,11 +19,15 @@ from rainbowcon import (
     make_pairs,
     new_graph,
     rc_exact,
+    rc_reduction,
+    simple_paths_up_to,
     src_exact,
+    star_reduction,
     subset_rc_leq,
     subset_src_leq,
     vertex_coloring_leq,
 )
+from rainbowcon import search
 
 from oracles import connected_graph_representatives, edge_slots, raw_colorings, restricted_growth_colorings
 
@@ -206,3 +211,33 @@ def test_searches_answer_up_to_the_depth_limit():
         subset_rc_leq(new_graph(902, [(i, i + 1) for i in range(901)]), make_pairs([]), 1)
     with pytest.raises(ToolkitError, match="depth limit of 900 vertices"):
         vertex_coloring_leq(new_graph(901, []), 2)
+
+
+def test_search_decides_the_reduced_chains_at_k_3():
+    # G' of the K3 and K4 chains, decided from the whole graph; pinned counts keep the effort fixed
+    for source, feasible, size, nodes in ((K3, True, None, 88_688), (K4, False, (31, 190), 3_532)):
+        star = star_reduction(source, 3)
+        reduced = rc_reduction(SubsetInstance(star.graph, star.pairs, 3)).graph
+        if size is not None:
+            assert (reduced.vertex_count, reduced.edge_count) == size
+        result = subset_rc_leq(reduced, all_pairs(reduced.vertex_count), 3)
+        assert result.feasible == feasible == vertex_coloring_leq(source, 3).feasible
+        assert result.nodes_explored == nodes
+        if feasible:
+            assert is_rainbow_connected(result.witness)
+
+
+def test_path_table_enumeration_is_limited_to_the_budget_left(monkeypatch):
+    listed, seen = [0], []
+
+    def spy(g, u, v, k, limit=None):
+        seen.append((limit, 10_000 - listed[0]))
+        paths = simple_paths_up_to(g, u, v, k, limit)
+        listed[0] += len(paths)
+        return paths
+
+    monkeypatch.setattr(search, "simple_paths_up_to", spy)
+    c9 = new_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+    assert subset_rc_leq(c9, all_pairs(9), 5, budget=10_000).feasible
+    assert len(seen) == 27 and listed[0] > 27
+    assert all(limit == left for limit, left in seen)

@@ -8,6 +8,7 @@ from rainbowcon import (
     FuzzConfig,
     Gadget,
     ReducedInstance,
+    StarInstance,
     SubsetInstance,
     build_gadget,
     build_order2_gadget,
@@ -154,6 +155,20 @@ def test_rc_equivalence_bruteforce_budget():
     inst = SubsetInstance(star3.graph, star3.pairs, 3)
     with pytest.raises(BudgetExceededError):
         check_rc_equivalence(inst, full_bruteforce=True, bruteforce_budget=10)
+
+
+def test_raw_exhaustion_beyond_the_cap_raises_before_the_first_coloring(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a coloring was tried")
+
+    star = new_graph(14, [(i, 13) for i in range(13)])  # 3^13 = 1,594,323 colorings of the star edges
+    pairs = make_pairs(K4.edges, 14)
+    monkeypatch.setattr(verify_module, "is_subset_rainbow_connected", refuse)
+    monkeypatch.setattr(verify_module, "is_subset_strong_rainbow_connected", refuse)
+    with pytest.raises(BudgetExceededError, match="exceeds the cap of 1,000,000"):
+        check_rc_equivalence(SubsetInstance(star, pairs, 3))
+    with pytest.raises(BudgetExceededError, match="exceeds the cap of 1,000,000"):
+        check_src_equivalence(StarInstance(star, 13, pairs, 3))
 
 
 def test_backward_certificate_matches_raw_exhaustion():
