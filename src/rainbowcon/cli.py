@@ -212,14 +212,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
         inst = SubsetInstance(single, make_pairs([(0, 1)]), 2)
         print("source: the single edge, one required pair, k = 2")
         report = check_rc_equivalence(inst, full_bruteforce=True)
-        reduced = rc_reduction(inst)
-        print(
-            f"reduced graph: {reduced.graph.vertex_count} vertices, "
-            f"{reduced.graph.edge_count} edges (a 4-cycle)"
-        )
+        print(f"reduced graph: {report.graph.vertex_count} vertices, {report.graph.edge_count} edges (a 4-cycle)")
         print(f"full brute force agrees with the subset solver: {report.passed}")
         print("rc(G') = 2")
-        return 0
+        return 0 if report.passed else 1
     if args.showcase == "k3":
         source = new_graph(3, [(0, 1), (0, 2), (1, 2)])
         label = "triangle"
@@ -234,27 +230,20 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(
         f"step 2 star instance: {star.graph.vertex_count} vertices, {len(star.pairs)} required pairs"
     )
-    base_rc = subset_rc_leq(star.graph, star.pairs, k)
-    base_src = subset_src_leq(star.graph, star.pairs, k)
-    print(
-        f"step 3 star solvers agree with step 1: "
-        f"{vc.feasible == base_rc.feasible == base_src.feasible}"
-    )
+    # each report carries its star solver's verdict and the construction it checked
     ext_report = check_src_equivalence(star)
-    ext = src_extension(star)
+    rc_report = check_rc_equivalence(SubsetInstance(star.graph, star.pairs, k))
+    feasible = rc_report.instance["feasible"]
+    print(f"step 3 star solvers agree with step 1: {vc.feasible == feasible == ext_report.instance['feasible']}")
     print(
-        f"step 4 bipartite extension ({ext.graph.vertex_count} vertices): "
+        f"step 4 bipartite extension ({ext_report.graph.vertex_count} vertices): "
         f"checked {'pass' if ext_report.passed else 'fail'}"
     )
-    inst = SubsetInstance(star.graph, star.pairs, k)
-    reduced = rc_reduction(inst)
-    print(
-        f"step 5 gadget instance: {reduced.graph.vertex_count} vertices, "
-        f"{reduced.graph.edge_count} edges"
-    )
-    rc_report = check_rc_equivalence(inst)  # the combined witness, or containment + base exhaustion
-    assert rc_report.passed
-    if base_rc.feasible:
+    print(f"step 5 gadget instance: {rc_report.graph.vertex_count} vertices, {rc_report.graph.edge_count} edges")
+    if not rc_report.passed:  # the combined witness, or containment + base exhaustion
+        print(f"rc(G') check failed: {json.dumps(rc_report.counterexample, sort_keys=True)}")
+        return 1
+    if feasible:
         print(f"rc(G') <= {k} certified by witness")
     else:
         print(f"rc(G') > {k} certified (containment + base exhaustion)")

@@ -1,8 +1,8 @@
 """Undirected simple graphs: exact distances, bounded path enumeration, geodesics.
 
-Vertices are dense 0-based integers; edges are stored canonically with the
-smaller endpoint first. Everything here is immutable after construction and
-all operations are pure, so values can be shared freely.
+Vertices are dense 0-based integers; edges are canonical (smaller endpoint
+first) and sorted once, at construction; adjacency is built on first use.
+Graphs are immutable and all operations are pure, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -29,24 +29,32 @@ def canonical_pair(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph over vertices 0..vertex_count-1."""
+    """Simple undirected graph over vertices 0..vertex_count-1.
+
+    edge_order (the edges sorted by endpoints) and the edge set are built with
+    the graph; adjacency and edge_index are built on first use.
+    """
 
     vertex_count: int
+    edge_order: tuple[tuple[int, int], ...]
     edges: frozenset[tuple[int, int]]
-    adjacency: tuple[tuple[int, ...], ...]
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_order)
 
     @cached_property
-    def edge_order(self) -> tuple[tuple[int, int], ...]:
-        """Edges sorted by endpoints, the canonical edge order; built on first use."""
-        return tuple(sorted(self.edges))
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending neighbor rows, built on first use; edge_order fills each row in order."""
+        rows: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edge_order:
+            rows[u].append(v)
+            rows[v].append(u)
+        return tuple(map(tuple, rows))
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
-        """Position of each canonical edge in edge_order."""
+        """Position of each canonical edge in edge_order; built on first use."""
         return {e: i for i, e in enumerate(self.edge_order)}
 
     def edge_list(self) -> list[tuple[int, int]]:
@@ -87,20 +95,15 @@ def new_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if vertex_count < 0:
         raise ValueError("vertex_count must be nonnegative")
-    canon: set[tuple[int, int]] = set()
+    canon: dict[tuple[int, int], None] = {}  # keeps input order: nearly sorted input sorts in linear time
     for u, v in edges:
         if u == v or not (0 <= u < vertex_count and 0 <= v < vertex_count):
             _check_vertex(u, vertex_count)
             _check_vertex(v, vertex_count)
             raise SelfLoopError(f"self-loop at vertex {u}")
-        canon.add((u, v) if u < v else (v, u))
-    neighbors: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in canon:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    for row in neighbors:
-        row.sort()
-    return Graph(vertex_count, frozenset(canon), tuple(map(tuple, neighbors)))
+        canon[(u, v) if u < v else (v, u)] = None
+    order = tuple(sorted(canon))
+    return Graph(vertex_count, order, frozenset(order))
 
 
 @dataclass(frozen=True)
@@ -174,10 +177,10 @@ def distances_from(g: Graph, source: int) -> list[int | float]:
     _check_vertex(source, g.vertex_count)
     dist: list[int | float] = [UNREACHABLE] * g.vertex_count
     dist[source] = 0
-    queue = [source]
+    queue, adjacency = [source], g.adjacency  # a local: reading the lazy attribute is slower
     for v in queue:  # the list grows while it is walked, so it serves as the FIFO queue
         d = dist[v] + 1
-        for w in g.adjacency[v]:
+        for w in adjacency[v]:
             if dist[w] is UNREACHABLE:
                 dist[w] = d
                 queue.append(w)
@@ -213,7 +216,7 @@ def is_connected(g: Graph, loud: bool = False) -> bool:
 
 def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """2-color by BFS; returns (True, side labels) or (False, None)."""
-    side = [-1] * g.vertex_count
+    side, adjacency = [-1] * g.vertex_count, g.adjacency
     for start in range(g.vertex_count):
         if side[start] != -1:
             continue
@@ -221,7 +224,7 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 if side[w] == -1:
                     side[w] = 1 - side[v]
                     queue.append(w)
@@ -243,13 +246,13 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int, limit: int | None
         raise ValueError("max_len must be at least 1")
     dist_to_target = g.distances(v)
     out: list[Path] = []
-    on_path = [False] * g.vertex_count
+    on_path, adjacency = [False] * g.vertex_count, g.adjacency
     on_path[u] = True
     stack = [u]
 
     def extend(x: int) -> None:
         used = len(stack) - 1
-        for w in g.adjacency[x]:
+        for w in adjacency[x]:
             if limit is not None and len(out) > limit:
                 return
             if w == v:

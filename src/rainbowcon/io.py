@@ -121,7 +121,7 @@ def parse_instance(text: str | bytes, fmt: str = "auto") -> tuple[Graph, PairSet
 
 
 def instance_json_obj(g: Graph, pairs: PairSet | None = None, k: int | None = None) -> dict:
-    obj: dict = {"n": g.vertex_count, "edges": [[u, v] for u, v in g.edge_list()]}
+    obj: dict = {"n": g.vertex_count, "edges": list(map(list, g.edge_order))}
     if pairs is not None:
         obj["pairs"] = pairs.as_lists()
     if k is not None:

@@ -372,7 +372,7 @@ def build_gadget(n: int, pairs: PairSet, order: int) -> Gadget:
     edges: list[tuple[int, int]] = []
     for i, (c1, c2, c3) in copies.items():
         edges += [(c1, c2), (c1, c3), (c2, c3), (i, c1), (i, c2), (i, c3)]
-    for u, v in inner.graph.edges:  # u < v, so only u can be an inner base
+    for u, v in inner.graph.edge_order:  # u < v, so only u can be an inner base
         if u < n:
             edges += [(c, v + shift) for c in copies[u]]
         else:
@@ -510,7 +510,7 @@ def rc_reduction(inst: SubsetInstance) -> ReducedInstance:
     if inst.k < 2:
         raise InvalidOrderError(f"no reduction for k = {inst.k}")
     gadget = build_gadget(inst.graph.vertex_count, inst.pairs, inst.k)
-    graph = new_graph(gadget.graph.vertex_count, gadget.graph.edges | inst.graph.edges)
+    graph = new_graph(gadget.graph.vertex_count, gadget.graph.edge_order + inst.graph.edge_order)
     return ReducedInstance(graph, gadget, inst)
 
 

@@ -53,7 +53,7 @@ def vertex_coloring_leq(g: Graph, k: int) -> SolveResult:
     if k < 1:
         raise ValueError("k must be positive")
     check_depth(g.vertex_count, "vertices")
-    n = g.vertex_count
+    n, adjacency = g.vertex_count, g.adjacency
     colors = [0] * n
     nodes = 0
 
@@ -62,7 +62,7 @@ def vertex_coloring_leq(g: Graph, k: int) -> SolveResult:
         if v == n:
             return True
         limit = min(top_used + 1, k - 1)
-        forbidden = {colors[w] for w in g.adjacency[v] if w < v}
+        forbidden = {colors[w] for w in adjacency[v] if w < v}
         for c in range(limit + 1):
             if c in forbidden:
                 continue

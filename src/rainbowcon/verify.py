@@ -90,6 +90,7 @@ class CheckReport:
     check_name: str
     instance: dict
     counterexample: dict | None = None
+    graph: Graph | None = None  # the construction an equivalence check built; never serialized
 
     @property
     def passed(self) -> bool:
@@ -251,7 +252,7 @@ def check_src_equivalence(inst: StarInstance) -> CheckReport:
                 break
         else:
             bad = _exhaustion_counterexample(inst.graph, inst.pairs, inst.k, is_subset_strong_rainbow_connected)
-    return CheckReport("src-equivalence", desc, bad)
+    return CheckReport("src-equivalence", desc, bad, ext.graph)
 
 
 def check_rc_equivalence(
@@ -295,7 +296,7 @@ def check_rc_equivalence(
                 "direct": direct.feasible,
                 "subset": base.feasible,
             }
-    return CheckReport("rc-equivalence", desc, bad)
+    return CheckReport("rc-equivalence", desc, bad, r.graph)
 
 
 FUZZ_K_SET = (2, 3, 4, 5)

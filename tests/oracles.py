@@ -171,3 +171,23 @@ def bfs_distances(g: Graph, source: int) -> list[float]:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def brute_bridge_count(g: Graph) -> int:
+    """Edges whose removal separates their endpoints: drop each edge in turn and search
+    from one endpoint over a neighbor map rebuilt from the remaining edge set."""
+    count = 0
+    for dropped in g.edges:
+        near: dict[int, list[int]] = {}
+        for a, b in g.edges - {dropped}:
+            near.setdefault(a, []).append(b)
+            near.setdefault(b, []).append(a)
+        u, v = dropped
+        seen, queue = {u}, [u]
+        for x in queue:
+            for y in near.get(x, ()):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        count += v not in seen
+    return count

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from rainbowcon import new_graph, rc_exact, src_exact
 
+from oracles import brute_bridge_count
+
 ROWS = [json.loads(line) for line in (Path(__file__).parent / "data" / "atlas_2_7.jsonl").read_text().splitlines()]
 
 
@@ -31,6 +33,16 @@ def test_exact_solvers_reproduce_the_table():
             opt = exact(g)
             got = (opt.value, "".join(map(str, opt.witness.colors)))
             assert got == (row[name], row[f"{name}_colors"]), (name, row)
+
+
+def test_rc_is_at_least_the_number_of_bridges():
+    # every u-v path between the far ends of two bridges crosses both, so bridges need distinct colors
+    for row in ROWS:
+        g = new_graph(row["n"], [tuple(e) for e in row["edges"]])
+        bridges = brute_bridge_count(g)
+        assert bridges <= row["rc"], row
+        if g.edge_count == g.vertex_count - 1:  # on a tree every edge is a bridge and rc = m
+            assert bridges == row["rc"] == g.edge_count, row
 
 
 @settings(max_examples=60, deadline=None)

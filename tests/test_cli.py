@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from rainbowcon import (
     BudgetExceededError,
     IndexOutOfRangeError,
+    ParseError,
     Path,
     all_pairs,
     geodesics,
@@ -17,7 +20,7 @@ from rainbowcon import (
     subset_rc_leq,
     subset_src_leq,
 )
-from rainbowcon import cli, search
+from rainbowcon import cli, search, verify
 from rainbowcon.cli import main
 from rainbowcon.io import dump_gadget, emit_edge_list, emit_instance, gadget_json_obj, load_coloring
 from rainbowcon.reductions import build_gadget, build_order2_gadget, Gadget
@@ -186,6 +189,26 @@ def test_demo_endings(capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "rc(G') = 2"
 
 
+def test_demo_exits_1_when_the_rc_check_fails(monkeypatch, capsys):
+    real = cli.check_rc_equivalence
+    monkeypatch.setattr(cli, "check_rc_equivalence", lambda inst: replace(real(inst), counterexample={"reason": "stub"}))
+    assert main(["demo", "k4"]) == 1
+    out = capsys.readouterr().out
+    assert "certified" not in out
+    assert out.splitlines()[-1] == 'rc(G\') check failed: {"reason": "stub"}'
+
+
+@pytest.mark.parametrize("showcase", ["k3", "k4"])
+def test_demo_builds_each_artefact_once(monkeypatch, capsys, showcase):
+    calls = Counter()
+    for module in (cli, verify):
+        for name in ("subset_rc_leq", "subset_src_leq", "src_extension", "rc_reduction"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **kw: calls.update([_name]) or _real(*a, **kw))
+    assert main(["demo", showcase]) == 0
+    assert calls == {"subset_rc_leq": 1, "subset_src_leq": 1, "src_extension": 1, "rc_reduction": 1}
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     src = write(tmp_path, "c4.txt", emit_edge_list(C4))
     out_file = tmp_path / "result.txt"
@@ -305,6 +328,80 @@ def test_mutated_gadget_records_keep_the_exit_contract(tmp_path_factory, order, 
     path = tmp_path_factory.getbasetemp() / "mutated-gadget.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["verify", "--check", check, "--input", str(path)]) in (0, 1, 2)
+
+
+JSON_JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=2), st.lists(st.integers(-1, 3), max_size=3))
+INSTANCE_COMMANDS = [
+    ["solve", "--problem", problem] for problem in ("rc", "src", "subset-rc", "subset-src", "chromatic")
+] + [["reduce", "--reduction", r] for r in ("star", "src-ext", "rc-gadget")] + [
+    ["verify", "--check", check]
+    for check in ("pair-distances", "nonpair-distances", "witness", "containment", "vc-equivalence",
+                  "src-equivalence", "rc-equivalence")
+]
+C5_INSTANCE = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]], "pairs": [[0, 2], [1, 3]], "k": 2}
+STAR_INSTANCE = {"n": 5, "edges": [[0, 4], [1, 4], [2, 4], [3, 4]], "pairs": [[0, 1], [1, 2], [2, 3]], "k": 3}
+
+
+def mutated_field(data, field, value, n):
+    """A replacement for instance field `field` (KeyError: drop the key): junk, a near-miss
+    count for n and k, or the pair list with one entry added, dropped or replaced."""
+    how = data.draw(st.sampled_from(["drop", "junk", "near", "near"]))
+    if how != "near":
+        return KeyError if how == "drop" else data.draw(JSON_JUNK)
+    if field in ("n", "k"):
+        return data.draw(st.integers(-1, 7 if field == "n" else 4))
+    value = list(value) if isinstance(value, list) else []
+    entry = st.one_of(st.lists(st.integers(-1, n), min_size=2, max_size=2), st.lists(JSON_JUNK, max_size=3), JSON_JUNK)
+    if not value or data.draw(st.booleans()):
+        return value + [data.draw(entry)]
+    slot = data.draw(st.integers(0, len(value) - 1))
+    return value[:slot] + ([] if data.draw(st.booleans()) else [data.draw(entry)]) + value[slot + 1:]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([C5_INSTANCE, STAR_INSTANCE]), st.sampled_from(INSTANCE_COMMANDS), st.data())
+def test_mutated_instances_keep_the_exit_contract(tmp_path_factory, instance, argv, data):
+    obj = dict(instance)
+    for field in data.draw(st.lists(st.sampled_from(["n", "edges", "pairs", "k"]), min_size=1, max_size=3)):
+        value = mutated_field(data, field, obj.get(field), instance["n"])
+        if value is KeyError:
+            obj.pop(field, None)
+        else:
+            obj[field] = value
+    path = tmp_path_factory.getbasetemp() / "mutated-instance.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(argv + ["--input", str(path)]) in (0, 1, 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_mutated_solve_colorings_load_or_raise_parse_errors(tmp_path_factory, data):
+    c5 = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    base = tmp_path_factory.getbasetemp()
+    (base / "c5.txt").write_text(emit_edge_list(c5), encoding="utf-8")
+    assert main(["solve", "--problem", "rc", "--input", str(base / "c5.txt"), "--output", str(base / "c5-rc.txt")]) == 0
+    obj = json.loads((base / "c5-rc.txt").read_text(encoding="utf-8").splitlines()[1])
+    for field in data.draw(st.lists(st.sampled_from(["k", "triple", "drop", "add", "colors"]), min_size=1, max_size=3)):
+        if field == "k":
+            obj["k"] = data.draw(st.one_of(st.integers(-1, 4), JSON_JUNK))
+        elif field == "colors":
+            obj["colors"] = data.draw(JSON_JUNK)
+        elif not isinstance(obj.get("colors"), list):
+            continue
+        elif field == "add":
+            obj["colors"].append(data.draw(st.one_of(JSON_JUNK, st.lists(st.integers(-1, 5), max_size=4))))
+        elif obj["colors"]:
+            slot = data.draw(st.integers(0, len(obj["colors"]) - 1))
+            if field == "drop":
+                del obj["colors"][slot]
+            elif isinstance(obj["colors"][slot], list) and obj["colors"][slot]:
+                triple = obj["colors"][slot]
+                triple[data.draw(st.integers(0, len(triple) - 1))] = data.draw(st.one_of(st.integers(-1, 5), JSON_JUNK))
+    try:
+        c = load_coloring(json.dumps(obj), c5)
+    except ParseError:
+        return
+    assert c.host == c5 and len(c.colors) == c5.edge_count and all(0 <= col < c.color_count for col in c.colors)
 
 
 K12_EDGES = [(i, j) for i in range(12) for j in range(i)]

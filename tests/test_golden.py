@@ -138,7 +138,8 @@ def test_assignment_is_a_fresh_dict():
 
 def test_edge_index_is_lazy_and_matches_the_edge_order():
     g = new_graph(5, [(3, 1), (0, 4), (1, 2)])
-    assert "edge_order" not in vars(g) and "edge_index" not in vars(g)
+    assert "adjacency" not in vars(g) and "edge_index" not in vars(g)
     assert g.edge_list() == [(0, 4), (1, 2), (1, 3)]
     assert g.edge_order == tuple(g.edge_list())
     assert all(g.edge_order[i] == e for e, i in g.edge_index.items())
+    assert g.adjacency == ((4,), (2, 3), (1,), (1,), (0,))

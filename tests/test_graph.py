@@ -16,8 +16,10 @@ from rainbowcon import (
     is_connected,
     make_pairs,
     new_graph,
+    rc_reduction,
     simple_paths_up_to,
 )
+from rainbowcon.verify import FuzzConfig, random_instance
 
 from oracles import bfs_distances, brute_simple_paths, floyd_warshall
 
@@ -39,6 +41,37 @@ def test_new_graph_canonicalizes():
     assert g.vertex_count == 3
     assert g.edges == frozenset({(0, 1)})
     assert g.adjacency == ((1,), (0,), ())
+
+
+@st.composite
+def shuffled_edge_lists(draw):
+    """(n, the canonical edge set, its edges shuffled, in either orientation and repeated)."""
+    n = draw(st.integers(2, 9))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
+    raw = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen for _ in range(draw(st.integers(1, 3)))]
+    return n, frozenset(chosen), draw(st.permutations(raw))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_edge_lists())
+def test_new_graph_sorts_the_edges_and_fills_ascending_rows(case):
+    n, canon, raw = case
+    g = new_graph(n, raw)
+    assert g.edges == canon == frozenset(g.edge_order)
+    assert g.edge_order == tuple(sorted(g.edges)) and g.edge_count == len(canon)
+    for v, row in enumerate(g.adjacency):
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert set(row) == {a + b - v for a, b in g.edges if v in (a, b)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 199))
+def test_rc_reduction_graph_is_the_union_of_gadget_and_source(seed, index):
+    inst = random_instance(FuzzConfig(), seed, index)
+    r = rc_reduction(inst)
+    union = new_graph(r.gadget.graph.vertex_count, r.gadget.graph.edges | inst.graph.edges)
+    assert r.graph == union and r.graph.edge_order == union.edge_order
 
 
 def test_new_graph_trivial_cases():
