@@ -15,8 +15,8 @@ from collections import Counter
 from pathlib import Path
 
 from . import io as gio
-from .errors import ToolkitError
-from .graph import Graph, PairSet, all_pairs, is_bipartite, make_pairs, new_graph
+from .errors import DisconnectedPairError, ToolkitError
+from .graph import UNREACHABLE, Graph, PairSet, all_pairs, is_bipartite, make_pairs, new_graph
 from .reductions import (
     StarInstance,
     SubsetInstance,
@@ -100,6 +100,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         if problem in ("rc", "src"):
             check_depth(graph.edge_count, "edges")  # before building all pairs
+            if graph.vertex_count and UNREACHABLE in (row := graph.distances(0)):  # one BFS row, not n^2 pairs
+                raise DisconnectedPairError(f"pair (0, {row.index(UNREACHABLE)}) is disconnected")
             pairs = all_pairs(graph.vertex_count)
         elif pairs is None:
             raise ToolkitError("subset problems need a 'pairs' list in the instance JSON")

@@ -73,15 +73,6 @@ def is_rainbow_path(c: EdgeColoring, p: Path) -> bool:
     return len(set(used)) == len(used)
 
 
-def _color_neighbor_masks(g: Graph, colors: tuple[int, ...], color_count: int) -> list[list[int]]:
-    # masks[color][v] = bitmask of the neighbors v reaches via edges of that color
-    masks = [[0] * g.vertex_count for _ in range(color_count)]
-    for (u, v), col in zip(g.edge_order, colors):
-        masks[col][u] |= 1 << v
-        masks[col][v] |= 1 << u
-    return masks
-
-
 def _rainbow_reach(
     masks: list[list[int]], color_count: int, source: int, stop_mask: int, adjacency: list[int] | None = None
 ) -> int:
@@ -93,26 +84,27 @@ def _rainbow_reach(
     vertex in such a walk leaves a rainbow simple path, so reachability by
     walk and by path coincide.
 
-    With adjacency (a neighbor bitmask per vertex), level d follows only arcs
-    from BFS layer d - 1 into layer d, so every walk is a shortest path and the
+    With adjacency (a neighbor bitmask per vertex), a state of level d - 1 lies
+    on BFS layer d - 1, so one AND of its color row with layer d (ahead) keeps
+    exactly its arcs into the next layer: every walk is a shortest path, and the
     result is the set of vertices with a rainbow geodesic from source.
     """
     reached = 1 << source
     missing = stop_mask & ~reached
     frontier: dict[int, int] = {0: reached}
-    rows = by_bit = [(1 << col, masks[col]) for col in range(color_count)]
-    layer, seen = [source], reached
+    rows = [(1 << col, masks[col]) for col in range(color_count)]
+    geodesic, layer, seen = adjacency is not None, reached, reached
     for _ in range(color_count):
-        if adjacency is not None:
+        if geodesic:
             ahead = 0
-            for v in layer:
-                ahead |= adjacency[v]
-            ahead &= ~seen
+            while layer:
+                low = layer & -layer
+                ahead |= adjacency[low.bit_length() - 1]
+                layer ^= low
+            layer = ahead = ahead & ~seen
             if not ahead:  # every vertex reachable from source is behind this layer
                 break
             seen |= ahead
-            by_bit = [(bit, {v: by_color[v] & ahead for v in layer}) for bit, by_color in rows]
-            layer = [v for v in range(ahead.bit_length()) if ahead >> v & 1]
         nxt: dict[int, int] = {}
         for used, mask in frontier.items():
             vertices = []  # split once per state, not once per free color
@@ -120,12 +112,14 @@ def _rainbow_reach(
                 low = mask & -mask
                 vertices.append(low.bit_length() - 1)
                 mask ^= low
-            for bit, by_color in by_bit:
+            for bit, by_color in rows:
                 if used & bit:
                     continue
                 out = 0
                 for v in vertices:
                     out |= by_color[v]
+                if geodesic:
+                    out &= ahead
                 if out:
                     reached |= out
                     key = used | bit
@@ -162,7 +156,10 @@ def exists_geodesic_rainbow_path(c: EdgeColoring, u: int, v: int) -> bool:
 
 
 def _rainbow_reacher(g: Graph, colors: tuple[int, ...], k: int, geodesic: bool = False):
-    masks = _color_neighbor_masks(g, colors, k)
+    masks = [[0] * g.vertex_count for _ in range(k)]  # masks[color][v]: v's neighbors via that color
+    for (u, v), col in zip(g.edge_order, colors):
+        masks[col][u] |= 1 << v
+        masks[col][v] |= 1 << u
     # each edge has one color, so a vertex's color rows are disjoint and their sum is its neighbor mask
     adjacency = [sum(rows) for rows in zip(*masks)] if geodesic else None
     return lambda u, targets: _rainbow_reach(masks, k, u, targets, adjacency)

@@ -8,7 +8,6 @@ Graphs are immutable and all operations are pure, so values can be shared freely
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -221,9 +220,8 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[int, ...] | None]:
         if side[start] != -1:
             continue
         side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        queue = [start]
+        for v in queue:  # the list grows while it is walked, as in distances_from
             for w in adjacency[v]:
                 if side[w] == -1:
                     side[w] = 1 - side[v]

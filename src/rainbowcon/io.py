@@ -94,7 +94,8 @@ def _int_pairs(obj: dict, key: str) -> list[tuple[int, int]]:
     if not isinstance(value, list):
         raise ParseError(f"{key!r} must be a list of pairs")
     for entry in value:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(type(x) is int for x in entry)):
+        u, v = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        if type(u) is not int or type(v) is not int:
             raise ParseError(f"bad entry {entry!r} in {key!r}: expected [int, int]")
     return [tuple(entry) for entry in value]
 
@@ -156,9 +157,9 @@ def load_coloring(text: str | bytes, host: Graph) -> EdgeColoring:
         raise ParseError("'k' must be a positive integer")
     assignment: dict[tuple[int, int], int] = {}
     for entry in obj["colors"]:
-        if not (isinstance(entry, list) and len(entry) == 3 and all(type(x) is int for x in entry)):
+        u, v, col = entry if isinstance(entry, list) and len(entry) == 3 else (None,) * 3
+        if type(u) is not int or type(v) is not int or type(col) is not int:
             raise ParseError(f"bad color triple {entry!r}")
-        u, v, col = entry
         key = canonical_pair(u, v)
         if key in assignment:
             raise ParseError(f"edge ({u}, {v}) colored twice")

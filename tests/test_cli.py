@@ -59,6 +59,13 @@ def test_solve_disconnected_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_with_k_rejects_a_sparse_disconnected_graph_before_building_all_pairs(tmp_path, capsys):
+    path = write(tmp_path, "sparse.json", json.dumps({"n": 1600, "edges": [[0, 1]]}))
+    for problem in ("rc", "src"):
+        assert main(["solve", "--problem", problem, "--k", "2", "--input", path]) == 2
+        assert capsys.readouterr().err == "error: pair (0, 2) is disconnected\n"
+
+
 def test_solve_subset_requires_pairs(tmp_path, capsys):
     path = write(tmp_path, "c4.txt", emit_edge_list(C4))
     assert main(["solve", "--problem", "subset-rc", "--k", "2", "--input", path]) == 2

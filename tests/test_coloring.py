@@ -7,6 +7,7 @@ from rainbowcon import (
     IndexOutOfRangeError,
     Path,
     PathNotInGraphError,
+    StarInstance,
     all_pairs,
     diameter,
     edge_coloring,
@@ -21,6 +22,8 @@ from rainbowcon import (
     lift_vertex_coloring,
     make_pairs,
     new_graph,
+    src_extension,
+    src_witness_coloring,
     star_reduction,
     subset_rc_leq,
     subset_src_leq,
@@ -185,6 +188,44 @@ def test_first_failing_pair_matches_brute_force(c, data):
         assert scan(c, required=chosen) == brute_first_failing_pair(c, strong, sorted(chosen.pairs))
         rest = [pair for pair in slots if pair not in chosen]
         assert scan(c, skip=chosen) == brute_first_failing_pair(c, strong, rest)
+
+
+def test_geodesic_scan_ignores_a_same_layer_arc_into_the_target():
+    # from 0 the layers are {0}, {1, 2}, {3, 4}, {5}; the only geodesic 0-2-4 repeats color 0,
+    # and the rainbow 0-1-3-4 ends on the same-layer arc 3-4 of the free color 2, which the
+    # level-3 search of 0 reaches only if its arcs are not masked to layer {5}
+    g = new_graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
+    c = edge_coloring(g, 3, {(0, 1): 0, (0, 2): 0, (1, 3): 1, (2, 4): 0, (3, 4): 2, (4, 5): 1})
+    assert exists_rainbow_path(c, 0, 4) and not exists_geodesic_rainbow_path(c, 0, 4)
+    slots = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    assert first_non_geodesic_rainbow_pair(c) == (0, 4) == brute_first_failing_pair(c, True, slots)
+
+
+@st.composite
+def recolored_extensions(draw, max_leaves=4):
+    """The src witness coloring of a random feasible star instance's extension, with 1-3 edges recolored."""
+    n, k = draw(st.integers(1, max_leaves)), draw(st.integers(3, 4))
+    leaf_colors = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    apart = [(i, j) for i in range(n) for j in range(i + 1, n) if leaf_colors[i] != leaf_colors[j]]
+    pairs = make_pairs(draw(st.lists(st.sampled_from(apart), unique=True)) if apart else [], n)
+    star = StarInstance(new_graph(n + 1, [(i, n) for i in range(n)]), n, pairs, k)
+    ext = src_extension(star)
+    colors = list(src_witness_coloring(ext, edge_coloring(star.graph, k, tuple(leaf_colors))).colors)
+    for e in draw(st.lists(st.integers(0, len(colors) - 1), min_size=1, max_size=3, unique=True)):
+        colors[e] = draw(st.integers(0, k - 1))
+    return edge_coloring(ext.graph, k, tuple(colors)), pairs
+
+
+@settings(max_examples=30, deadline=None)
+@given(recolored_extensions())
+def test_geodesic_scan_of_recolored_extensions_matches_brute_force(instance):
+    c, star_pairs = instance
+    n = c.host.vertex_count
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert first_non_geodesic_rainbow_pair(c) == brute_first_failing_pair(c, True, slots)
+    assert first_non_geodesic_rainbow_pair(c, required=star_pairs) == brute_first_failing_pair(
+        c, True, sorted(star_pairs.pairs)
+    )
 
 
 @st.composite
