@@ -66,10 +66,8 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_instance(
-    args: argparse.Namespace, text: str | None = None
-) -> tuple[Graph, PairSet | None, int | None]:
-    """Parse the instance (text, else the input file or stdin); --k overrides its k."""
+def _load_instance(args: argparse.Namespace, text: object = None) -> tuple[Graph, PairSet | None, int | None]:
+    """Parse the instance (text or parsed JSON, else the input file or stdin); --k overrides its k."""
     graph, pairs, k = gio.parse_instance(_read_input(args) if text is None else text, args.format)
     if args.k is not None:
         if args.k < 1:
@@ -133,7 +131,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         ext = src_extension(star)
         payload = gio.instance_json_obj(ext.graph, None, k)
         payload["sides"] = [list(side) for side in ext.sides()]
-        payload["matching"] = [[u, v] for u, v in ext.matching]
+        payload["matching"] = ext.matching
         payload["layers"] = {str(v): tag for v, tag in sorted(ext.layers().items())}
         summary = (
             f"extension: {ext.graph.vertex_count} vertices, {ext.graph.edge_count} edges, "
@@ -160,17 +158,16 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _gadget_for_check(args: argparse.Namespace):
-    """Either a serialized gadget (trusted as-is) or a source instance to build from."""
-    text = _read_input(args)
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"order"' in stripped:
-        return gio.load_gadget(text)
-    graph, pairs, k = _load_instance(args, text)
+    """A gadget record (JSON with a top-level 'order', trusted as-is) or a source instance to build from."""
+    source: str | object = _read_input(args)
+    if args.format == "json" or (args.format == "auto" and source.lstrip().startswith("{")):
+        source = gio.load_json(source)
+        if isinstance(source, dict) and "order" in source:
+            return gio.gadget_from_json_obj(source)
+    graph, pairs, k = _load_instance(args, source)
     if k is None:
         raise ToolkitError("--k (or a 'k' field) is required to build the gadget")
-    if pairs is None:
-        pairs = make_pairs([], graph.vertex_count)
-    return build_gadget(graph.vertex_count, pairs, k)
+    return build_gadget(graph.vertex_count, pairs or make_pairs([]), k)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

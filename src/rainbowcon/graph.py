@@ -1,7 +1,7 @@
 """Undirected simple graphs: exact distances, bounded path enumeration, geodesics.
 
 Vertices are dense 0-based integers; edges are canonical (smaller endpoint
-first) and sorted once, at construction; adjacency is built on first use.
+first) and sorted once, at construction; their lookups are built on first use.
 Graphs are immutable and all operations are pure, so values can be shared freely.
 """
 
@@ -30,13 +30,16 @@ def canonical_pair(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Simple undirected graph over vertices 0..vertex_count-1.
 
-    edge_order (the edges sorted by endpoints) and the edge set are built with
-    the graph; adjacency and edge_index are built on first use.
+    Its only fields, vertex_count and edge_order (the edges sorted by endpoints),
+    decide equality; the edge set, adjacency and edge_index are built on first use.
     """
 
     vertex_count: int
     edge_order: tuple[tuple[int, int], ...]
-    edges: frozenset[tuple[int, int]]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edge_order)
 
     @property
     def edge_count(self) -> int:
@@ -101,8 +104,7 @@ def new_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
             _check_vertex(v, vertex_count)
             raise SelfLoopError(f"self-loop at vertex {u}")
         canon[(u, v) if u < v else (v, u)] = None
-    order = tuple(sorted(canon))
-    return Graph(vertex_count, order, frozenset(order))
+    return Graph(vertex_count, tuple(sorted(canon)))
 
 
 @dataclass(frozen=True)

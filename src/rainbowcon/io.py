@@ -23,7 +23,7 @@ def _decode(text: str | bytes) -> str:
     return text
 
 
-def _load_json(text: str | bytes) -> object:
+def load_json(text: str | bytes) -> object:
     try:
         return json.loads(_decode(text))
     except json.JSONDecodeError as exc:
@@ -109,8 +109,10 @@ def _instance_from_json_obj(obj: object) -> tuple[Graph, PairSet | None, int | N
     return graph, pairs, k
 
 
-def parse_instance(text: str | bytes, fmt: str = "auto") -> tuple[Graph, PairSet | None, int | None]:
-    """Parse an instance in edge-list or JSON form; auto-detects by default."""
+def parse_instance(text: str | bytes | object, fmt: str = "auto") -> tuple[Graph, PairSet | None, int | None]:
+    """Parse an instance in edge-list or JSON form, or an already parsed JSON value; auto-detects by default."""
+    if not isinstance(text, (str, bytes)):
+        return _instance_from_json_obj(text)
     body = _decode(text)
     if fmt == "auto":
         fmt = "json" if body.lstrip().startswith("{") else "edge-list"
@@ -118,11 +120,11 @@ def parse_instance(text: str | bytes, fmt: str = "auto") -> tuple[Graph, PairSet
         return parse_edge_list(body), None, None
     if fmt != "json":
         raise ValueError(f"unknown format {fmt!r}")
-    return _instance_from_json_obj(_load_json(body))
+    return _instance_from_json_obj(load_json(body))
 
 
 def instance_json_obj(g: Graph, pairs: PairSet | None = None, k: int | None = None) -> dict:
-    obj: dict = {"n": g.vertex_count, "edges": list(map(list, g.edge_order))}
+    obj: dict = {"n": g.vertex_count, "edges": g.edge_order}  # json writes tuples as arrays
     if pairs is not None:
         obj["pairs"] = pairs.as_lists()
     if k is not None:
@@ -149,7 +151,7 @@ def to_dot(g: Graph, highlights: tuple[int, ...] | list[int] = ()) -> str:
 
 def load_coloring(text: str | bytes, host: Graph) -> EdgeColoring:
     """Decode {"k": int, "colors": [[u, v, c], ...]} against a host graph."""
-    obj = _load_json(text)
+    obj = load_json(text)
     if not isinstance(obj, dict) or "k" not in obj or not isinstance(obj.get("colors"), list):
         raise ParseError("coloring JSON needs 'k' and a 'colors' list")
     k = obj["k"]
@@ -180,7 +182,7 @@ def gadget_json_obj(g: Gadget) -> dict:
     obj: dict = {
         "order": g.order,
         "n": g.graph.vertex_count,
-        "edges": [[u, v] for u, v in g.graph.edge_list()],
+        "edges": g.graph.edge_order,
         "base_vertices": list(g.base_vertices),
         "pairs": g.pairs.as_lists(),
         "layers": {str(v): tag for v, tag in sorted(gadget_layers(g).items())},
@@ -218,10 +220,6 @@ def gadget_from_json_obj(obj: object) -> Gadget:
 
 def dump_gadget(g: Gadget) -> str:
     return json.dumps(gadget_json_obj(g), sort_keys=True) + "\n"
-
-
-def load_gadget(text: str | bytes) -> Gadget:
-    return gadget_from_json_obj(_load_json(text))
 
 
 def reduced_instance_json_obj(r: ReducedInstance) -> dict:

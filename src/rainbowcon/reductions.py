@@ -154,6 +154,8 @@ class SrcExtension:
     New layer one (anchors + bridges) attaches to the leaves, its twin layer
     attaches to the center, and the two layers are joined completely. The
     sides ({center} + layer one, leaves + twin layer) witness bipartiteness.
+    Ids: leaves, center, layer one (anchors, then bridges), then the twins in
+    the same order, so each twin sits len(layer_one) ids after its vertex.
     roles maps each vertex to a tagged tuple, as in Gadget: ("leaf", i),
     ("center",), ("anchor", i), ("bridge", i, j) and their "_twin" tags.
     """
@@ -162,23 +164,20 @@ class SrcExtension:
     graph: Graph
     roles: dict[int, tuple]
 
-    def _tagged(self, *tags: str) -> tuple[int, ...]:
-        return tuple(v for v, role in sorted(self.roles.items()) if role[0] in tags)
-
     @property
     def layer_one(self) -> tuple[int, ...]:
-        return self._tagged("anchor", "bridge")
+        return tuple(range(self.star.center + 1, (self.graph.vertex_count + self.star.center + 1) // 2))
 
     @property
     def twin_layer(self) -> tuple[int, ...]:
-        return self._tagged("anchor_twin", "bridge_twin")
+        return tuple(range((self.graph.vertex_count + self.star.center + 1) // 2, self.graph.vertex_count))
 
     @property
     def matching(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e in self.graph.edge_order if _twin_tags(self.roles[e[0]], self.roles[e[1]]))
+        return tuple(zip(self.layer_one, self.twin_layer))
 
     def sides(self) -> tuple[tuple[int, ...], ...]:
-        return self._tagged("center", "anchor", "bridge"), self._tagged("leaf", "anchor_twin", "bridge_twin")
+        return (self.star.center, *self.layer_one), (*self.star.leaves, *self.twin_layer)
 
     def edge_layer(self, u: int, v: int) -> str:
         """Classify an edge: star | leaf_link | cross_link | center_link."""
@@ -235,20 +234,20 @@ def src_witness_coloring(ext: SrcExtension, base: EdgeColoring) -> EdgeColoring:
         raise TooFewColorsError("the extension coloring needs at least 3 colors")
     if not is_subset_strong_rainbow_connected(base, ext.star.pairs):
         raise NotSubsetRainbowConnectedError("base coloring misses a required pair")
+    n, center, size = ext.star.leaf_count, ext.star.center, len(ext.layer_one)
     colors: list[int] = []
     for u, v in ext.graph.edge_order:  # u < v, so a leaf or the center can only be u
-        ru, rv = ext.roles[u], ext.roles[v]
-        if ru[0] == "leaf":
-            if rv[0] == "center":
-                colors.append(base.color_of(u, v))
-            elif rv[0] == "anchor":
+        if u < n:
+            if v == center:  # star edge (u, center) sits at index u of the star's edge order
+                colors.append(base.colors[u])
+            elif v <= center + n:  # anchors come first in layer one
                 colors.append(2)
             else:  # bridge (i, j) with i < j: near side 0, far side 1
-                colors.append(0 if u == rv[1] else 1)
-        elif ru[0] == "center":
+                colors.append(0 if u == ext.roles[v][1] else 1)
+        elif u == center:
             colors.append(2)
         else:  # complete join between layer one and its twin
-            colors.append(0 if _twin_tags(ru, rv) else 1)
+            colors.append(0 if v == u + size else 1)
     return edge_coloring(ext.graph, base.color_count, colors)
 
 
@@ -506,11 +505,14 @@ def rc_reduction(inst: SubsetInstance) -> ReducedInstance:
 
     The combined graph is the edge-disjoint union of the order-k gadget on
     the instance's pairs and the source edges placed between base vertices.
+    Both sides were validated and sorted when their graphs were built, so the
+    union needs no second validation pass: one sort merges the two runs.
     """
     if inst.k < 2:
         raise InvalidOrderError(f"no reduction for k = {inst.k}")
     gadget = build_gadget(inst.graph.vertex_count, inst.pairs, inst.k)
-    graph = new_graph(gadget.graph.vertex_count, gadget.graph.edge_order + inst.graph.edge_order)
+    # disjoint: no gadget edge joins two bases (build_gadget), and every source edge does
+    graph = Graph(gadget.graph.vertex_count, tuple(sorted(gadget.graph.edge_order + inst.graph.edge_order)))
     return ReducedInstance(graph, gadget, inst)
 
 

@@ -184,6 +184,13 @@ def test_verify_single_checks_from_instance_json(tmp_path, capsys):
     assert main(["verify", "--check", "containment", "--input", star_inst]) == 0
 
 
+@pytest.mark.parametrize("extra", ["", ', "note": "order"', ', "note": {"order": 2}'])
+def test_only_a_top_level_order_key_makes_a_gadget_record(tmp_path, capsys, extra):
+    text = '{"n": 3, "edges": [[0, 1], [1, 2]], "pairs": [[0, 2]], "k": 3' + extra + "}"
+    assert main(["verify", "--check", "witness", "--input", write(tmp_path, "inst.json", text)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_demo_endings(capsys):
     assert main(["demo", "k3"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "rc(G') <= 3 certified by witness"
@@ -230,7 +237,7 @@ GOOD = '{"n": 2, "edges": [[0, 1]], "pairs": [[0, 1]]}'
 
 def order4_gadget_text(drop_edge: bool) -> str:
     """An order-4 gadget record with one edge between non-base vertices dropped, or one added."""
-    obj = gadget_json_obj(build_gadget(3, make_pairs([(0, 1)], 3), 4))
+    obj = json.loads(dump_gadget(build_gadget(3, make_pairs([(0, 1)], 3), 4)))
     edges, n = obj["edges"], obj["n"]
     if drop_edge:
         edges.remove(next(e for e in edges if min(e) >= 3))

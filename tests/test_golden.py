@@ -15,6 +15,7 @@ import pytest
 from rainbowcon import (
     DisconnectedError,
     DisconnectedPairError,
+    SubsetInstance,
     edge_coloring,
     is_rainbow_connected,
     is_strong_rainbow_connected,
@@ -23,6 +24,7 @@ from rainbowcon import (
     make_pairs,
     new_graph,
     rc_exact,
+    rc_reduction,
     src_exact,
     star_reduction,
     subset_rc_leq,
@@ -138,8 +140,15 @@ def test_assignment_is_a_fresh_dict():
 
 def test_edge_index_is_lazy_and_matches_the_edge_order():
     g = new_graph(5, [(3, 1), (0, 4), (1, 2)])
-    assert "adjacency" not in vars(g) and "edge_index" not in vars(g)
+    assert not {"adjacency", "edge_index", "edges"} & set(vars(g))
     assert g.edge_list() == [(0, 4), (1, 2), (1, 3)]
     assert g.edge_order == tuple(g.edge_list())
     assert all(g.edge_order[i] == e for e, i in g.edge_index.items())
     assert g.adjacency == ((4,), (2, 3), (1,), (1,), (0,))
+    assert g.has_edge(1, 3) and g.has_edge(3, 1) and not g.has_edge(0, 1)
+    assert g.edges == frozenset(g.edge_order) and "edges" in vars(g)
+    same = new_graph(5, [(2, 1), (1, 3), (4, 0), (3, 1)])
+    assert same == g and hash(same) == hash(g) and same != new_graph(6, g.edge_order)
+    reduced = rc_reduction(SubsetInstance(g, make_pairs([(0, 2)], 5), 3)).graph
+    assert "edges" not in vars(reduced)
+    assert reduced.has_edge(3, 1) and not reduced.has_edge(0, 2)

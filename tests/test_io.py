@@ -8,8 +8,9 @@ from rainbowcon.io import (
     dump_gadget,
     emit_edge_list,
     emit_instance,
+    gadget_from_json_obj,
     load_coloring,
-    load_gadget,
+    load_json,
     parse_edge_list,
     parse_instance,
     to_dot,
@@ -86,7 +87,7 @@ def test_coloring_round_trip_and_totality():
 def test_gadget_json_round_trip():
     for order in (2, 3, 4, 5):
         g = build_gadget(3, make_pairs([(0, 1)], 3), order)
-        back = load_gadget(dump_gadget(g))
+        back = gadget_from_json_obj(load_json(dump_gadget(g)))
         assert back.graph == g.graph
         assert back.order == g.order
         assert back.base_vertices == g.base_vertices

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowcon import (
     DomainMismatchError,
@@ -9,7 +11,9 @@ from rainbowcon import (
     PairNotLeafPairError,
     Path,
     StarInstance,
+    SubsetInstance,
     TooFewColorsError,
+    build_gadget,
     edge_coloring,
     geodesics,
     is_bipartite,
@@ -20,6 +24,7 @@ from rainbowcon import (
     make_pairs,
     new_graph,
     project_star_coloring,
+    rc_reduction,
     src_extension,
     src_witness_coloring,
     star_reduction,
@@ -138,6 +143,20 @@ def test_src_extension_matching_pairs_twins():
     assert matched == set(ext.layer_one) | set(ext.twin_layer)
 
 
+def test_src_extension_id_layout_agrees_with_the_roles():
+    for source in (K3, new_graph(4, [(0, 1), (1, 2)]), new_graph(2, [])):
+        ext = src_extension(star_reduction(source, 3))
+
+        def tagged(*tags):
+            return tuple(v for v, role in sorted(ext.roles.items()) if role[0] in tags)
+
+        assert ext.layer_one == tagged("anchor", "bridge")
+        assert ext.twin_layer == tagged("anchor_twin", "bridge_twin")
+        assert ext.sides() == (tagged("center", "anchor", "bridge"), tagged("leaf", "anchor_twin", "bridge_twin"))
+        for x, y in ext.matching:
+            assert ext.graph.has_edge(x, y) and ext.roles[y] == (ext.roles[x][0] + "_twin", *ext.roles[x][1:])
+
+
 def test_src_extension_edge_layer_rejects_every_non_edge():
     ext = src_extension(star_reduction(new_graph(3, [(0, 1), (1, 2)]), 3))
     anchor_of_1 = next(v for v, role in ext.roles.items() if role == ("anchor", 1))
@@ -187,3 +206,31 @@ def test_src_witness_coloring_errors():
     bad_base = edge_coloring(star.graph, 3, (0, 0, 0))
     with pytest.raises(NotSubsetRainbowConnectedError):
         src_witness_coloring(ext, bad_base)
+
+
+@st.composite
+def subset_instances(draw, max_n=6):
+    n = draw(st.integers(2, max_n))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
+    pairs = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
+    return SubsetInstance(new_graph(n, edges), make_pairs(pairs, n), draw(st.integers(2, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_instances())
+def test_rc_reduction_merges_to_what_new_graph_builds(inst):
+    r = rc_reduction(inst)
+    rebuilt = new_graph(r.gadget.graph.vertex_count, list(r.gadget.graph.edge_order) + list(inst.graph.edge_order))
+    assert r.graph.edge_order == rebuilt.edge_order
+    assert r.graph.edges == rebuilt.edges
+    assert r.graph == rebuilt and hash(r.graph) == hash(rebuilt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(subset_instances(), st.integers(2, 7))
+def test_no_gadget_edge_joins_two_bases(inst, order):
+    n = inst.graph.vertex_count
+    gadget = build_gadget(n, inst.pairs, order)
+    assert gadget.base_vertices == tuple(range(n))
+    assert all(v >= n for _, v in gadget.graph.edge_order)  # u < v, so v < n would put both ends on bases
