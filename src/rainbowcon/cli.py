@@ -9,6 +9,7 @@ Output goes to stdout unless --output is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -249,7 +250,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="rainbowcon",
         description="Exact rainbow-connectivity solvers, reductions and verifiers",
@@ -268,13 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(solve)
     solve.add_argument("--problem", choices=PROBLEMS, required=True)
     solve.add_argument("--budget", type=int, help="cap on path-table entries plus search nodes per decision")
-    solve.set_defaults(func=cmd_solve)
 
     reduce_p = sub.add_parser("reduce", help="construct a reduction instance")
     add_io(reduce_p)
     reduce_p.add_argument("--reduction", choices=REDUCTIONS, required=True)
     reduce_p.add_argument("--dot", help="also write a DOT rendering here")
-    reduce_p.set_defaults(func=cmd_reduce)
 
     verify = sub.add_parser("verify", help="machine-check construction guarantees")
     add_io(verify)
@@ -282,19 +283,21 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="base seed for --check all (default 0)")
     verify.add_argument("--n-max", type=int, default=4, help="sweep size for --check all")
     verify.add_argument("--seeds", type=int, default=200, help="fuzz instances for --check all")
-    verify.set_defaults(func=cmd_verify)
 
     demo = sub.add_parser("demo", help="run a built-in showcase pipeline")
     demo.add_argument("showcase", choices=("k3", "k4", "micro"))
-    demo.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the parser is built on the first call, so once per process.
+
+    The command's cmd_<name> is looked up at call time, so rebinding it in this
+    module (a test double, a tracer) takes effect on the next call.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ToolkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -241,6 +241,13 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int, limit: int | None
     With limit, enumeration stops as soon as more than limit paths are found,
     so the list then holds the first limit + 1 paths.
     """
+    return _simple_paths(g, u, v, max_len, limit, False)[0]
+
+
+def _simple_paths(g: Graph, u: int, v: int, max_len: int, limit: int | None, watch: bool) -> tuple[list[Path], bool]:
+    """simple_paths_up_to, and with watch whether the list holds every simple u-v path: it does
+    unless it is over limit or the length bound cut a branch at a vertex from which v can still
+    be reached off the path (only such a branch holds a longer simple path)."""
     _check_endpoints(g, u, v)
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -249,17 +256,33 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int, limit: int | None
     on_path, adjacency = [False] * g.vertex_count, g.adjacency
     on_path[u] = True
     stack = [u]
+    whole = watch
+
+    def escapes(w: int) -> bool:
+        seen, queue = on_path[:], [w]
+        for x in queue:
+            for y in adjacency[x]:
+                if y == v:
+                    return True
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        return False
 
     def extend(x: int) -> None:
+        nonlocal whole
         used = len(stack) - 1
         for w in adjacency[x]:
             if limit is not None and len(out) > limit:
                 return
-            if w == v:
-                if used + 1 <= max_len:
-                    out.append(Path(tuple(stack) + (v,)))
+            if w == v:  # x was admitted within the bound, so d(x, v) = 1 keeps this path within it too
+                out.append(Path(tuple(stack) + (v,)))
                 continue
-            if on_path[w] or used + 1 + dist_to_target[w] > max_len:
+            if on_path[w]:
+                continue
+            if used + 1 + dist_to_target[w] > max_len:
+                if whole and escapes(w):
+                    whole = False
                 continue
             on_path[w] = True
             stack.append(w)
@@ -268,7 +291,7 @@ def simple_paths_up_to(g: Graph, u: int, v: int, max_len: int, limit: int | None
             on_path[w] = False
 
     extend(u)
-    return out
+    return out, whole and (limit is None or len(out) <= limit)
 
 
 def geodesics(g: Graph, u: int, v: int, limit: int | None = None) -> list[Path]:

@@ -5,7 +5,9 @@ instances with their explicit witness colorings.
 Vertex layout is fixed so verifiers and serialized output have stable
 addressing: base vertices come first (0..n-1), then layer blocks in
 construction order. Matchings and tie-breaks that the constructions leave
-open are pinned to the identity/canonical choice for reproducibility.
+open are pinned to the identity/canonical choice for reproducibility. The
+constructions generate canonical (smaller end first), distinct, in-range
+edges, so they sort them into a Graph without new_graph's validation pass.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ def src_extension(inst: StarInstance) -> SrcExtension:
         edges += [(i, x) for i in leaves]
         edges += [(x, y + layer_size) for y in layer]
         edges.append((center, x + layer_size))
-    return SrcExtension(inst, new_graph(n + 1 + 2 * layer_size, edges), roles)
+    return SrcExtension(inst, Graph(n + 1 + 2 * layer_size, tuple(sorted(edges))), roles)
 
 
 def src_witness_coloring(ext: SrcExtension, base: EdgeColoring) -> EdgeColoring:
@@ -306,7 +308,7 @@ def build_order2_gadget(n: int, pairs: PairSet) -> Gadget:
     roles: dict[int, tuple] = {i: ("base", i) for i in range(n)}
     roles.update({anchors[i]: ("anchor", i) for i in range(n)})
     roles.update({b: ("bridge", i, j) for (i, j), b in bridges.items()})
-    graph = new_graph(n + len(hub), edges)
+    graph = Graph(n + len(hub), tuple(sorted(edges)))
     return Gadget(graph, 2, tuple(range(n)), pairs, roles)
 
 
@@ -344,7 +346,7 @@ def build_order3_gadget(n: int, pairs: PairSet) -> Gadget:
     for x in layer:
         tag, *rest = roles[x]
         roles[x + layer_size] = (tag + "_twin", *rest)
-    graph = new_graph(n + 2 * layer_size, edges)
+    graph = Graph(n + 2 * layer_size, tuple(sorted(edges)))
     return Gadget(graph, 3, tuple(range(n)), pairs, roles)
 
 
@@ -376,7 +378,7 @@ def build_gadget(n: int, pairs: PairSet, order: int) -> Gadget:
             edges += [(c, v + shift) for c in copies[u]]
         else:
             edges.append((u + shift, v + shift))
-    graph = new_graph(inner.graph.vertex_count + shift, edges)
+    graph = Graph(inner.graph.vertex_count + shift, tuple(sorted(edges)))
 
     roles: dict[int, tuple] = {i: ("base", i) for i in range(n)}
     roles.update({c: ("copy", i, t) for i, cs in copies.items() for t, c in enumerate(cs, start=1)})

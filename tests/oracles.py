@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from rainbowcon import EdgeColoring, Graph, is_connected, new_graph
+from rainbowcon import EdgeColoring, Graph, OptResult, all_pairs, diameter, is_connected, new_graph
 
 INF = float("inf")
 
@@ -191,3 +191,16 @@ def brute_bridge_count(g: Graph) -> int:
                     queue.append(y)
         count += v not in seen
     return count
+
+
+def exact_by_levels(g: Graph, solver, budget: int | None = None) -> OptResult:
+    """rc or src of g (solver: subset_rc_leq or subset_src_leq) as one independent decision
+    per level from the diameter up, each building its own path table; nodes summed."""
+    pairs = all_pairs(g.vertex_count)
+    total = 0
+    for k in range(max(int(diameter(g)), 1), g.edge_count + 1):
+        result = solver(g, pairs, k, budget)
+        total += result.nodes_explored
+        if result.feasible:
+            return OptResult(k, result.witness, total)
+    raise AssertionError("all-distinct coloring is always feasible")

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -43,6 +45,34 @@ def test_solve_rc_on_c4(tmp_path, capsys):
     assert out.splitlines()[0] == "rc = 2"
     witness = load_coloring(out.splitlines()[1], C4)
     assert is_rainbow_connected(witness)
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    solve = ["solve", "--problem", "rc", "--input", write(tmp_path, "c4.txt", emit_edge_list(C4))]
+    assert main(solve) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "nope"])
+    assert exc.value.code == 2
+    gadget = write(tmp_path, "gadget.json", dump_gadget(build_order2_gadget(3, make_pairs([(0, 1)]))))
+    assert main(["verify", "--check", "witness", "--input", gadget]) == 0
+    capsys.readouterr()
+    assert main(solve) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_looks_its_command_up_when_called(tmp_path, monkeypatch):
+    solve = ["solve", "--problem", "rc", "--input", write(tmp_path, "c4.txt", emit_edge_list(C4))]
+    assert main(solve) == 0  # the parser exists before the rebinding
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: 7)
+    assert main(solve) == 7
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import rainbowcon.cli as c; print(c.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n"
 
 
 def test_solve_chromatic_infeasible(tmp_path, capsys):

@@ -19,6 +19,7 @@ from rainbowcon import (
     rc_reduction,
     simple_paths_up_to,
 )
+from rainbowcon.graph import _simple_paths
 from rainbowcon.verify import FuzzConfig, random_instance
 
 from oracles import bfs_distances, brute_simple_paths, floyd_warshall
@@ -182,6 +183,18 @@ def test_simple_paths_match_brute_force(g, max_len):
             got = [p.vertices for p in simple_paths_up_to(g, u, v, max_len)]
             assert got == brute_simple_paths(g, u, v, max_len)
             assert got == sorted(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=7), st.integers(1, 5), st.sampled_from([None, 0, 2]))
+def test_watched_enumeration_says_whether_it_holds_every_simple_path(g, max_len, limit):
+    for u in range(g.vertex_count):
+        for v in range(u + 1, g.vertex_count):
+            paths, whole = _simple_paths(g, u, v, max_len, limit, True)
+            assert paths == simple_paths_up_to(g, u, v, max_len, limit)
+            every = brute_simple_paths(g, u, v, g.vertex_count - 1)
+            assert whole == ([p.vertices for p in paths] == every and (limit is None or len(paths) <= limit))
+            assert _simple_paths(g, u, v, max_len, limit, False) == (paths, False)
 
 
 @settings(max_examples=100, deadline=None)

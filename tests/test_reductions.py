@@ -234,3 +234,23 @@ def test_no_gadget_edge_joins_two_bases(inst, order):
     gadget = build_gadget(n, inst.pairs, order)
     assert gadget.base_vertices == tuple(range(n))
     assert all(v >= n for _, v in gadget.graph.edge_order)  # u < v, so v < n would put both ends on bases
+
+
+def _as_new_graph_builds_it(g):
+    rebuilt = new_graph(g.vertex_count, reversed(g.edge_order))  # canonicalised, deduplicated, range-checked, sorted
+    return g.edge_order == rebuilt.edge_order and g == rebuilt
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_instances(max_n=8), st.integers(2, 5))
+def test_gadget_builders_emit_what_new_graph_builds(inst, order):
+    gadget = build_gadget(inst.graph.vertex_count, inst.pairs, order)
+    while gadget is not None:  # every level of the recursion, down to the order-2 or order-3 core
+        assert _as_new_graph_builds_it(gadget.graph)
+        gadget = gadget.inner
+
+
+@settings(max_examples=60, deadline=None)
+@given(subset_instances(max_n=8))
+def test_src_extension_emits_what_new_graph_builds(inst):
+    assert _as_new_graph_builds_it(src_extension(star_reduction(inst.graph, 3)).graph)

@@ -29,7 +29,13 @@ from rainbowcon import (
 )
 from rainbowcon import search
 
-from oracles import connected_graph_representatives, edge_slots, raw_colorings, restricted_growth_colorings
+from oracles import (
+    connected_graph_representatives,
+    edge_slots,
+    exact_by_levels,
+    raw_colorings,
+    restricted_growth_colorings,
+)
 
 K3 = new_graph(3, [(0, 1), (0, 2), (1, 2)])
 K4 = new_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -241,3 +247,53 @@ def test_path_table_enumeration_is_limited_to_the_budget_left(monkeypatch):
     assert subset_rc_leq(c9, all_pairs(9), 5, budget=10_000).feasible
     assert len(seen) == 27 and listed[0] > 27
     assert all(limit == left for limit, left in seen)
+
+
+@st.composite
+def connected_graphs(draw, max_n=7):
+    """A random spanning tree (each vertex joins an earlier one) plus random extra edges."""
+    n = draw(st.integers(2, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.sampled_from(edge_slots(n)), max_size=n + 2))
+    return new_graph(n, tree + extra)
+
+
+def _outcome(solve, *args):
+    try:
+        opt = solve(*args)
+    except BudgetExceededError as exc:
+        return "budget", str(exc)
+    return opt.value, opt.witness.colors, opt.nodes_explored
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.sampled_from([None, 0, 5, 20, 60, 150, 400, 1_000]))
+def test_exact_solvers_equal_one_decision_per_level(g, budget):
+    # reusing a table across levels keeps values, witnesses, node counts and budget errors
+    for exact, solver in ((rc_exact, subset_rc_leq), (src_exact, subset_src_leq)):
+        assert _outcome(exact, g, budget) == _outcome(exact_by_levels, g, solver, budget)
+
+
+def test_exact_solvers_build_a_table_only_where_it_can_change(monkeypatch):
+    geodesic_calls, builds = [0], [0]
+    real_geodesics, real_table = search.geodesics, search._path_table
+
+    def count_geodesics(*args):
+        geodesic_calls[0] += 1
+        return real_geodesics(*args)
+
+    def count_builds(*args):
+        builds[0] += 1
+        return real_table(*args)
+
+    monkeypatch.setattr(search, "geodesics", count_geodesics)
+    monkeypatch.setattr(search, "_path_table", count_builds)
+    star7 = new_graph(8, [(i, 7) for i in range(7)])
+    assert src_exact(star7).value == 7  # six levels, k = 2..7
+    assert geodesic_calls[0] == 21 and builds[0] == 1  # once per non-adjacent pair
+    tree = new_graph(8, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6), (0, 7)])
+    builds[0] = 0
+    assert rc_exact(tree).value == 7 and builds[0] == 1  # its only paths are geodesics
+    builds[0] = 0
+    c7 = new_graph(7, [(i, (i + 1) % 7) for i in range(7)])
+    assert rc_exact(c7).value == 4 and builds[0] == 2  # k = 3 cuts the long way round
