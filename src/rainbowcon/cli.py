@@ -22,7 +22,6 @@ from .reductions import (
     StarInstance,
     SubsetInstance,
     build_gadget,
-    gadget_layers,
     rc_reduction,
     src_extension,
     star_reduction,
@@ -145,14 +144,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             raise ToolkitError("rc-gadget needs a 'pairs' list in the instance JSON")
         reduced = rc_reduction(SubsetInstance(graph, pairs, k))
         payload = gio.reduced_instance_json_obj(reduced)
-        tag_counts = Counter(gadget_layers(reduced.gadget).values())
+        tag_counts = Counter(payload["layers"].values())
         layers_text = ", ".join(f"{tag}: {tag_counts[tag]}" for tag in sorted(tag_counts))
         summary = (
             f"reduced instance: {reduced.graph.vertex_count} vertices, "
             f"{reduced.graph.edge_count} edges ({layers_text})"
         )
         dot_graph, dot_highlights = reduced.graph, reduced.gadget.base_vertices
-    _write_output(args, json.dumps(payload, sort_keys=True) + "\n" + summary + "\n")
+    _write_output(args, gio.emit_json(payload) + "\n" + summary + "\n")
     if args.dot and dot_graph is not None:
         Path(args.dot).write_text(gio.to_dot(dot_graph, dot_highlights), encoding="utf-8")
     return 0

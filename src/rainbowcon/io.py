@@ -1,7 +1,9 @@
 """Serialization: edge-list text, instance JSON, coloring JSON, gadget JSON, DOT.
 
 Every emitter is deterministic (sorted keys, sorted edge and pair lists) so
-identical inputs always produce byte-identical output.
+identical inputs always produce byte-identical output. Every object with an
+"edges" array is written by emit_json, byte-identical to json.dumps with
+sorted keys.
 """
 
 from __future__ import annotations
@@ -132,8 +134,26 @@ def instance_json_obj(g: Graph, pairs: PairSet | None = None, k: int | None = No
     return obj
 
 
+def emit_json(obj: dict, ids: tuple = ((), ())) -> str:
+    """json.dumps(obj, sort_keys=True) for an object with "n" and an "edges" list of
+    vertex ids in 0..n-1, and maybe a nested "inner" one: their edges are joined from
+    one pair of tables of "[u, " and "v]" strings (ids, made here unless it covers n)."""
+    heads, tails = ids
+    if len(heads) < obj["n"]:  # the top level, or an inner record read from outside that outgrows its host
+        heads, tails = ids = [f"[{v}, " for v in range(obj["n"])], [f"{v}]" for v in range(obj["n"])]
+    items = []
+    for key in sorted(obj):
+        value = obj[key]
+        if key == "edges":
+            text = "[" + ", ".join([heads[u] + tails[v] for u, v in value]) + "]"
+        else:
+            text = emit_json(value, ids) if key == "inner" else json.dumps(value, sort_keys=True)
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{" + ", ".join(items) + "}"
+
+
 def emit_instance(g: Graph, pairs: PairSet | None = None, k: int | None = None) -> str:
-    return json.dumps(instance_json_obj(g, pairs, k), sort_keys=True) + "\n"
+    return emit_json(instance_json_obj(g, pairs, k)) + "\n"
 
 
 def to_dot(g: Graph, highlights: tuple[int, ...] | list[int] = ()) -> str:
@@ -219,7 +239,7 @@ def gadget_from_json_obj(obj: object) -> Gadget:
 
 
 def dump_gadget(g: Gadget) -> str:
-    return json.dumps(gadget_json_obj(g), sort_keys=True) + "\n"
+    return emit_json(gadget_json_obj(g)) + "\n"
 
 
 def reduced_instance_json_obj(r: ReducedInstance) -> dict:

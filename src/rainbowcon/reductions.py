@@ -7,12 +7,15 @@ addressing: base vertices come first (0..n-1), then layer blocks in
 construction order. Matchings and tie-breaks that the constructions leave
 open are pinned to the identity/canonical choice for reproducibility. The
 constructions generate canonical (smaller end first), distinct, in-range
-edges, so they sort them into a Graph without new_graph's validation pass.
+edges in sorted order, sorting only their short base or leaf rows, so they
+make a Graph directly, without new_graph's validation pass or a full sort.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Sequence
 
 from .coloring import (
@@ -217,9 +220,9 @@ def src_extension(inst: StarInstance) -> SrcExtension:
         tag, *leaves = roles[x]
         roles[x + layer_size] = (tag + "_twin", *leaves)
         edges += [(i, x) for i in leaves]
-        edges += [(x, y + layer_size) for y in layer]
-        edges.append((center, x + layer_size))
-    return SrcExtension(inst, Graph(n + 1 + 2 * layer_size, tuple(sorted(edges))), roles)
+    edges.sort()  # the leaf rows; the center's and layer one's rows follow in id order
+    edges += product(range(center, layer.stop), range(layer.stop, layer.stop + layer_size))
+    return SrcExtension(inst, Graph(n + 1 + 2 * layer_size, tuple(edges)), roles)
 
 
 def src_witness_coloring(ext: SrcExtension, base: EdgeColoring) -> EdgeColoring:
@@ -303,12 +306,13 @@ def build_order2_gadget(n: int, pairs: PairSet) -> Gadget:
     for (i, j), b in bridges.items():
         edges.append((i, b))
         edges.append((j, b))
-    edges += [(x, y) for idx, x in enumerate(hub) for y in hub[idx + 1 :]]
+    edges.sort()  # the base rows; the hub clique's rows follow in id order
+    edges += combinations(hub, 2)
 
     roles: dict[int, tuple] = {i: ("base", i) for i in range(n)}
     roles.update({anchors[i]: ("anchor", i) for i in range(n)})
     roles.update({b: ("bridge", i, j) for (i, j), b in bridges.items()})
-    graph = Graph(n + len(hub), tuple(sorted(edges)))
+    graph = Graph(n + len(hub), tuple(edges))
     return Gadget(graph, 2, tuple(range(n)), pairs, roles)
 
 
@@ -332,10 +336,12 @@ def build_order3_gadget(n: int, pairs: PairSet) -> Gadget:
 
     edges: list[tuple[int, int]] = [(i, anchors[i]) for i in range(n)]
     for i, j in nonpairs:
-        edges.append((i, lefts[(i, j)]))
-        edges.append((j, rights[(i, j)]))
-        edges.append((lefts[(i, j)], rights[(i, j)]))
-    edges += [(x, y) for x in layer for y in twins]
+        edges += [(i, lefts[(i, j)]), (j, rights[(i, j)])]
+    edges.sort()  # the base rows; the layer rows follow in id order
+    edges += product(anchors, twins)
+    for t in nonpairs:  # each left half, then its right half
+        edges.append((lefts[t], rights[t]))
+        edges += product((lefts[t], rights[t]), twins)
 
     roles: dict[int, tuple] = {i: ("base", i) for i in range(n)}
     roles.update({anchors[i]: ("anchor", i) for i in range(n)})
@@ -346,7 +352,7 @@ def build_order3_gadget(n: int, pairs: PairSet) -> Gadget:
     for x in layer:
         tag, *rest = roles[x]
         roles[x + layer_size] = (tag + "_twin", *rest)
-    graph = Graph(n + 2 * layer_size, tuple(sorted(edges)))
+    graph = Graph(n + 2 * layer_size, tuple(edges))
     return Gadget(graph, 3, tuple(range(n)), pairs, roles)
 
 
@@ -370,15 +376,18 @@ def build_gadget(n: int, pairs: PairSet, order: int) -> Gadget:
     shift = 3 * n
     copies = {i: (n + 3 * i, n + 3 * i + 1, n + 3 * i + 2) for i in inner.base_vertices}
     carried = {v: v + shift for v in range(n, inner.graph.vertex_count)}
-    edges: list[tuple[int, int]] = []
-    for i, (c1, c2, c3) in copies.items():
-        edges += [(c1, c2), (c1, c3), (c2, c3), (i, c1), (i, c2), (i, c3)]
-    for u, v in inner.graph.edge_order:  # u < v, so only u can be an inner base
-        if u < n:
-            edges += [(c, v + shift) for c in copies[u]]
-        else:
-            edges.append((u + shift, v + shift))
-    graph = Graph(inner.graph.vertex_count + shift, tuple(sorted(edges)))
+    # in sorted order: the new base rows, each copy's triangle edges and links
+    # (read off its old base's row), then the inner non-base rows, shifted
+    inner_edges = inner.graph.edge_order
+    cut = [bisect_left(inner_edges, (b,)) for b in range(n + 1)]  # u < v, so only u can be an inner base
+    edges = [(i, c) for i, cs in copies.items() for c in cs]
+    for b, (c1, c2, c3) in copies.items():
+        row = [v + shift for _, v in inner_edges[cut[b] : cut[b + 1]]]
+        edges += [(c1, c2), (c1, c3)] + [(c1, w) for w in row]
+        edges += [(c2, c3)] + [(c2, w) for w in row]
+        edges += [(c3, w) for w in row]
+    edges += [(u + shift, v + shift) for u, v in inner_edges[cut[n] :]]
+    graph = Graph(inner.graph.vertex_count + shift, tuple(edges))
 
     roles: dict[int, tuple] = {i: ("base", i) for i in range(n)}
     roles.update({c: ("copy", i, t) for i, cs in copies.items() for t, c in enumerate(cs, start=1)})
@@ -508,14 +517,17 @@ def rc_reduction(inst: SubsetInstance) -> ReducedInstance:
     The combined graph is the edge-disjoint union of the order-k gadget on
     the instance's pairs and the source edges placed between base vertices.
     Both sides were validated and sorted when their graphs were built, so the
-    union needs no second validation pass: one sort merges the two runs.
+    union needs no second validation pass: the source edges only join the
+    gadget's base rows, which come first in its edge order.
     """
     if inst.k < 2:
         raise InvalidOrderError(f"no reduction for k = {inst.k}")
     gadget = build_gadget(inst.graph.vertex_count, inst.pairs, inst.k)
     # disjoint: no gadget edge joins two bases (build_gadget), and every source edge does
-    graph = Graph(gadget.graph.vertex_count, tuple(sorted(gadget.graph.edge_order + inst.graph.edge_order)))
-    return ReducedInstance(graph, gadget, inst)
+    gadget_edges = gadget.graph.edge_order
+    cut = bisect_left(gadget_edges, (inst.graph.vertex_count,))
+    merged = tuple(sorted(gadget_edges[:cut] + inst.graph.edge_order)) + gadget_edges[cut:]
+    return ReducedInstance(Graph(gadget.graph.vertex_count, merged), gadget, inst)
 
 
 def combine_colorings(r: ReducedInstance, base: EdgeColoring, gadget: EdgeColoring) -> EdgeColoring:

@@ -218,8 +218,11 @@ def subset_instances(draw, max_n=6):
 
 
 @settings(max_examples=60, deadline=None)
-@given(subset_instances())
-def test_rc_reduction_merges_to_what_new_graph_builds(inst):
+@given(subset_instances(), st.booleans())
+def test_rc_reduction_merges_to_what_new_graph_builds(inst, complete):
+    if complete:  # every base row of the gadget then takes source edges
+        n = inst.graph.vertex_count
+        inst = SubsetInstance(new_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)]), inst.pairs, inst.k)
     r = rc_reduction(inst)
     rebuilt = new_graph(r.gadget.graph.vertex_count, list(r.gadget.graph.edge_order) + list(inst.graph.edge_order))
     assert r.graph.edge_order == rebuilt.edge_order
@@ -242,7 +245,7 @@ def _as_new_graph_builds_it(g):
 
 
 @settings(max_examples=60, deadline=None)
-@given(subset_instances(max_n=8), st.integers(2, 5))
+@given(subset_instances(max_n=8), st.integers(2, 7))
 def test_gadget_builders_emit_what_new_graph_builds(inst, order):
     gadget = build_gadget(inst.graph.vertex_count, inst.pairs, order)
     while gadget is not None:  # every level of the recursion, down to the order-2 or order-3 core
